@@ -35,12 +35,10 @@ from .errors import (
     UndefinedCorrelationError,
 )
 from .evolution import (
-    AlignedTable,
     AnalysisReport,
     CorrelationMatrix,
     EvolutionFit,
     MultiEvolutionFit,
-    align_by_year,
     build_report,
     correlation_matrix,
     fit_evolution,
@@ -121,12 +119,10 @@ __all__ = [
     "derive_power_law",
     "forecast_series",
     # evolution
-    "AlignedTable",
     "EvolutionFit",
     "MultiEvolutionFit",
     "CorrelationMatrix",
     "AnalysisReport",
-    "align_by_year",
     "fit_evolution",
     "fit_evolution_multi",
     "correlation_matrix",

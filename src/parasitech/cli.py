@@ -21,6 +21,7 @@ from .errors import DataError, FitFailureError, InvalidInputError, ParasitechErr
 from .evolution import build_report, correlation_matrix
 from .io import (
     AGGREGATORS,
+    _correlations_dict,
     emit_plot_data,
     parse_series_csv,
     render_report,
@@ -305,21 +306,7 @@ def _cmd_correlate(args) -> int:
     _print_warnings(files)
     corr = correlation_matrix([f.parsed for f in files])
     if args.format == "json":
-        payload = {
-            "names": list(corr.names),
-            "entries": [
-                [
-                    {
-                        "r": e.r if e.defined else None,
-                        "p": e.p if e.defined else None,
-                        "n": e.n,
-                    }
-                    for e in row
-                ]
-                for row in corr.entries
-            ],
-        }
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(_correlations_dict(corr), indent=2, allow_nan=False))
     else:
         width = max(14, max(len(n) for n in corr.names) + 1)
         print(" " * width + "".join(f"{n:>{width}}" for n in corr.names))
@@ -406,7 +393,9 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _parse_logistic_json(obj: dict, label: str) -> LogisticParams:
+def _parse_logistic_json(obj, label: str) -> LogisticParams:
+    if not isinstance(obj, dict):
+        raise InvalidInputError(f"{label}: must be a JSON object, got {obj!r}")
     if "a" in obj and "t_star" in obj:
         raise InvalidInputError(f"{label}: give either 'a' or 't_star', not both")
     try:
@@ -418,11 +407,22 @@ def _parse_logistic_json(obj: dict, label: str) -> LogisticParams:
     return LogisticParams(k=k, a=a, b=b)
 
 
+def _json_int(value, label: str) -> int:
+    """An integer config field; a fractional number is an error, not truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int):
+        raise InvalidInputError(f"{label} must be an integer, got {value!r}")
+    return value
+
+
 def _cmd_recover(args) -> int:
     try:
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
         raise InvalidInputError(f"{args.config}: invalid JSON ({err})") from None
+    if not isinstance(raw, dict):
+        raise InvalidInputError(f"{args.config}: config must be a JSON object")
     try:
         seed = raw.get("seed")
         if seed is None:
@@ -435,13 +435,15 @@ def _cmd_recover(args) -> int:
             ),
             t_start=float(raw["t_start"]),
             t_end=float(raw["t_end"]),
-            n_points=int(raw["n_points"]),
+            n_points=_json_int(raw["n_points"], "n_points"),
             noise_sigma=float(raw.get("noise_sigma", 0.0)),
             missing_prob=float(raw.get("missing_prob", 0.0)),
-            seed=int(seed),
+            seed=_json_int(seed, "seed"),
         )
     except KeyError as missing:
         raise InvalidInputError(f"{args.config}: missing key {missing}") from None
+    except (TypeError, ValueError) as err:
+        raise InvalidInputError(f"{args.config}: {err}") from None
     summary = monte_carlo_recovery(
         config, args.replicates, early_phase_only=args.early_phase
     )

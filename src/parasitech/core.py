@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -56,84 +55,91 @@ GRADE_NAMES = {1: "Low", 2: "Average", 3: "High"}
 B_ONE_EPSILON = 1e-9
 
 
-@dataclass(frozen=True)
 class TechSeries:
     """A named, unit-annotated FMT time series.
 
-    ``observations`` is a sequence of ``(t, value)`` pairs with strictly
-    increasing real-valued times (calendar years CE, fractional allowed) and
-    strictly positive values, so the natural log is always defined.
+    ``times`` and ``values`` are read-only float64 arrays of equal length:
+    strictly increasing real-valued times (calendar years CE, fractional
+    allowed) and strictly positive values, so the natural log is always
+    defined. Two series are equal when their names, roles, units and arrays
+    are.
     """
 
-    name: str
-    role: str
-    units: str
-    observations: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        if self.role not in ROLES:
+    def __init__(self, name: str, role: str, units: str, times, values):
+        if role not in ROLES:
             raise InvalidInputError(
-                f"series {self.name!r}: role must be one of {ROLES}, got {self.role!r}"
+                f"series {name!r}: role must be one of {ROLES}, got {role!r}"
             )
-        obs = tuple((float(t), float(v)) for t, v in self.observations)
-        if not obs:
-            raise InvalidInputError(f"series {self.name!r}: no observations")
-        times = [t for t, _ in obs]
-        values = [v for _, v in obs]
-        if not all(math.isfinite(t) for t in times):
-            raise InvalidInputError(f"series {self.name!r}: non-finite time value")
-        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
+        t = np.array(times, dtype=np.float64)
+        v = np.array(values, dtype=np.float64)
+        if t.ndim != 1 or t.shape != v.shape:
             raise InvalidInputError(
-                f"series {self.name!r}: observation times must be strictly increasing"
+                f"series {name!r}: times and values must be 1-d and of equal length"
             )
-        if not all(math.isfinite(v) and v > 0 for v in values):
+        if not t.size:
+            raise InvalidInputError(f"series {name!r}: no observations")
+        if not np.isfinite(t).all():
+            raise InvalidInputError(f"series {name!r}: non-finite time value")
+        if (np.diff(t) <= 0).any():
             raise InvalidInputError(
-                f"series {self.name!r}: every value must be a finite positive real"
+                f"series {name!r}: observation times must be strictly increasing"
             )
-        object.__setattr__(self, "observations", obs)
+        if not (np.isfinite(v) & (v > 0)).all():
+            raise InvalidInputError(
+                f"series {name!r}: every value must be a finite positive real"
+            )
+        t.flags.writeable = False
+        v.flags.writeable = False
+        self.name, self.role, self.units = name, role, units
+        self._times, self._values = t, v
 
     @classmethod
-    def from_columns(
-        cls,
-        name: str,
-        role: str,
-        units: str,
-        times: Iterable[float],
-        values: Iterable[float],
-    ) -> "TechSeries":
-        return cls(name, role, units, tuple(zip(times, values)))
+    def from_columns(cls, name: str, role: str, units: str, times, values):
+        """The constructor, under the name most callers use."""
+        return cls(name, role, units, times, values)
+
+    def __eq__(self, other):
+        if not isinstance(other, TechSeries):
+            return NotImplemented
+        return (
+            (self.name, self.role, self.units) == (other.name, other.role, other.units)
+            and np.array_equal(self._times, other._times)
+            and np.array_equal(self._values, other._values)
+        )
 
     @property
     def n(self) -> int:
-        return len(self.observations)
+        return self._times.size
 
     @property
     def times(self) -> np.ndarray:
-        return np.array([t for t, _ in self.observations])
+        return self._times
 
     @property
     def values(self) -> np.ndarray:
-        return np.array([v for _, v in self.observations])
+        return self._values
 
     def log_values(self) -> np.ndarray:
-        return np.log(self.values)
+        return np.log(self._values)
 
     def scaled(self, factor: float) -> "TechSeries":
         """Return a copy with every value multiplied by ``factor`` (> 0)."""
         if not (math.isfinite(factor) and factor > 0):
             raise InvalidInputError("scale factor must be a positive finite real")
-        return TechSeries.from_columns(
-            self.name, self.role, self.units, self.times, self.values * factor
+        return TechSeries(
+            self.name, self.role, self.units, self._times, self._values * factor
         )
 
     def restrict(self, t_max: float) -> "TechSeries":
         """Return the sub-series with observation times <= ``t_max``."""
-        kept = tuple((t, v) for t, v in self.observations if t <= t_max)
-        if not kept:
+        k = int(np.searchsorted(self._times, t_max, side="right"))
+        if k == 0 or math.isnan(t_max):
             raise InsufficientDataError(
                 f"series {self.name!r}: no observations at or before t={t_max}"
             )
-        return TechSeries(self.name, self.role, self.units, kept)
+        return TechSeries(
+            self.name, self.role, self.units, self._times[:k], self._values[:k]
+        )
 
 
 @dataclass(frozen=True)
@@ -160,10 +166,14 @@ class EvolutionClass:
     warnings: tuple[str, ...] = field(default=())
 
 
-def _make_class(
-    grade: int, b: float, test: BTest | None, warnings: tuple[str, ...]
-) -> EvolutionClass:
+def _make_class(grade: int, b: float, test: BTest | None) -> EvolutionClass:
     mode, label, symbol, prediction = EVOLUTION_SCALE[grade]
+    warnings: tuple[str, ...] = ()
+    if b < 0:
+        warnings = (
+            "negative evolutionary coefficient: the growth model assumes "
+            "positive rates; grade 1 assigned by convention",
+        )
     return EvolutionClass(
         grade=grade,
         mode=mode,
@@ -187,19 +197,13 @@ def classify_point(b: float) -> EvolutionClass:
     b = float(b)
     if not math.isfinite(b):
         raise InvalidInputError(f"evolutionary coefficient must be finite, got {b!r}")
-    warnings: tuple[str, ...] = ()
-    if b < 0:
-        warnings = (
-            "negative evolutionary coefficient: the growth model assumes "
-            "positive rates; grade 1 assigned by convention",
-        )
     if b < 1.0 - B_ONE_EPSILON:
         grade = 1
     elif b > 1.0 + B_ONE_EPSILON:
         grade = 3
     else:
         grade = 2
-    return _make_class(grade, b, None, warnings)
+    return _make_class(grade, b, None)
 
 
 def classify_with_test(
@@ -228,20 +232,13 @@ def classify_with_test(
     t_stat = (b - 1.0) / se_b
     p_value = statkit.student_t_sf(t_stat, df)
     test = BTest(t_stat=t_stat, p_value=p_value, alpha=alpha, df=df)
-
-    warnings: tuple[str, ...] = ()
-    if b < 0:
-        warnings = (
-            "negative evolutionary coefficient: the growth model assumes "
-            "positive rates; grade 1 assigned by convention",
-        )
     if p_value >= alpha:
         grade = 2
     elif b > 1.0:
         grade = 3
     else:
         grade = 1
-    return _make_class(grade, b, test, warnings)
+    return _make_class(grade, b, test)
 
 
 def prediction_label(grade: int) -> str:

@@ -29,23 +29,6 @@ from .statkit import CorrelationEntry, DescriptiveStats, RegressionResult
 
 
 @dataclass(frozen=True)
-class AlignedTable:
-    """Per-year rows of log-transformed values for a set of aligned series."""
-
-    years: tuple[float, ...]
-    names: tuple[str, ...]
-    log_rows: tuple[tuple[float, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.years)
-
-    def column(self, name: str) -> np.ndarray:
-        j = self.names.index(name)
-        return np.array([row[j] for row in self.log_rows])
-
-
-@dataclass(frozen=True)
 class EvolutionFit:
     """One estimated host-parasite evolution model with its classification.
 
@@ -120,51 +103,27 @@ class AnalysisReport:
     provenance: Provenance
 
 
-def _common_years(series_list: Sequence[TechSeries]) -> list[float]:
-    """Intersection of observation years, ascending. Errors name the pair
-    whose intersection first becomes empty."""
-    common = set(series_list[0].times.tolist())
-    for s in series_list[1:]:
-        common &= set(s.times.tolist())
-        if not common:
+def _align(series: Sequence[TechSeries]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The years every series observes, ascending, and each series' log
+    values on those years, one column per series in input order.
+
+    Columns are addressed by position, never by name, so two series that
+    share a name stay two columns. The error names the pair whose
+    intersection first becomes empty.
+    """
+    years = series[0].times
+    picks = [np.arange(years.size)]
+    for s in series[1:]:
+        years, kept, idx = np.intersect1d(
+            years, s.times, assume_unique=True, return_indices=True
+        )
+        if not years.size:
             raise NoOverlapError(
-                f"series {series_list[0].name!r} and {s.name!r} share no "
+                f"series {series[0].name!r} and {s.name!r} share no "
                 "observation years"
             )
-    return sorted(common)
-
-
-def _table_for(series_list: Sequence[TechSeries]) -> AlignedTable:
-    years = _common_years(series_list)
-    lookup = [dict(s.observations) for s in series_list]
-    rows = tuple(
-        tuple(math.log(table[t]) for table in lookup) for t in years
-    )
-    return AlignedTable(
-        years=tuple(years),
-        names=tuple(s.name for s in series_list),
-        log_rows=rows,
-    )
-
-
-def align_by_year(
-    host: TechSeries,
-    parasites: Sequence[TechSeries],
-    mode: str = "pairwise",
-) -> list[AlignedTable]:
-    """Align series on shared observation years; values are log-transformed.
-
-    ``pairwise`` returns one table per parasite (host paired with it alone);
-    ``listwise`` returns a single table restricted to years present in every
-    series.
-    """
-    if not parasites:
-        raise InvalidInputError("at least one parasite series is required")
-    if mode == "pairwise":
-        return [_table_for([host, p]) for p in parasites]
-    if mode == "listwise":
-        return [_table_for([host, *parasites])]
-    raise InvalidInputError(f"mode must be 'pairwise' or 'listwise', got {mode!r}")
+        picks = [p[kept] for p in picks] + [idx]
+    return years, [s.log_values()[p] for s, p in zip(series, picks)]
 
 
 def fit_evolution(
@@ -176,19 +135,18 @@ def fit_evolution(
     perfect fit (zero residual variance, so zero standard error) falls back
     to exact comparison.
     """
-    table = align_by_year(host, [parasite], mode="pairwise")[0]
-    if table.n < 4:
+    years, (log_h, log_p) = _align([host, parasite])
+    n = years.size
+    if n < 4:
         raise InsufficientDataError(
             f"{host.name!r} ~ {parasite.name!r}: need at least 4 aligned years, "
-            f"got {table.n}"
+            f"got {n}"
         )
-    log_h = table.column(host.name)
-    log_p = table.column(parasite.name)
     reg = statkit.ols_simple(log_h, log_p)
     log_a, b = reg.coefficients
     se_b = reg.standard_errors[1]
     if se_b > 0:
-        classification = classify_with_test(b, se_b, table.n, alpha)
+        classification = classify_with_test(b, se_b, n, alpha)
     else:
         classification = classify_point(b)
     return EvolutionFit(
@@ -198,34 +156,30 @@ def fit_evolution(
         b=float(b),
         log_a=float(log_a),
         classification=classification,
-        n_paired=table.n,
-        years_used=table.years,
-        log_host_values=tuple(float(v) for v in log_h),
-        log_parasite_values=tuple(float(v) for v in log_p),
+        n_paired=n,
+        years_used=tuple(years.tolist()),
+        log_host_values=tuple(log_h.tolist()),
+        log_parasite_values=tuple(log_p.tolist()),
     )
 
 
 def fit_evolution_multi(
-    target: TechSeries,
-    host: TechSeries,
-    others: Sequence[TechSeries],
-    alpha: float = 0.05,
+    target: TechSeries, host: TechSeries, others: Sequence[TechSeries]
 ) -> MultiEvolutionFit:
     """Estimate log P1 on log H and the logs of sibling parasites, listwise.
 
     Predictor order is host first, then the others as given. Dominance is
-    read off the standardized coefficients.
+    read off the standardized coefficients. The multi-model reports
+    coefficient significance but no scale grade.
     """
     predictors = [host, *others]
-    table = _table_for([target, *predictors])
+    years, (y, *columns) = _align([target, *predictors])
     k = len(predictors)
-    if table.n < k + 2:
+    if years.size < k + 2:
         raise InsufficientDataError(
             f"{target.name!r}: need at least {k + 2} listwise-aligned years "
-            f"for {k} predictors, got {table.n}"
+            f"for {k} predictors, got {years.size}"
         )
-    y = table.column(target.name)
-    columns = [table.column(p.name) for p in predictors]
     try:
         reg = statkit.ols_multi(columns, y)
     except CollinearityError as err:
@@ -240,18 +194,26 @@ def fit_evolution_multi(
         range(k),
         key=lambda j: (-(abs(std[j]) if math.isfinite(std[j]) else -math.inf), j),
     )
-    dominant = tuple(names[j] for j in order)
-    # alpha is accepted for interface symmetry with fit_evolution; the
-    # multi-model reports coefficient significance but no scale grade.
-    del alpha
     return MultiEvolutionFit(
         target_parasite=target.name,
         predictor_names=names,
         regression=reg,
-        dominant_predictors=dominant,
-        n_listwise=table.n,
-        years_used=table.years,
+        dominant_predictors=tuple(names[j] for j in order),
+        n_listwise=years.size,
+        years_used=tuple(years.tolist()),
     )
+
+
+def _correlation(a: TechSeries, b: TechSeries) -> CorrelationEntry:
+    """One off-diagonal cell, over the years ``a`` and ``b`` share."""
+    try:
+        years, (x, y) = _align([a, b])
+        return statkit.pearson(x, y)
+    except NoOverlapError:
+        years = ()
+    except (InsufficientDataError, UndefinedCorrelationError):
+        pass  # fewer than 3 shared years, or a constant side
+    return CorrelationEntry(r=math.nan, p=math.nan, n=len(years))
 
 
 def correlation_matrix(series_list: Sequence[TechSeries]) -> CorrelationMatrix:
@@ -264,7 +226,6 @@ def correlation_matrix(series_list: Sequence[TechSeries]) -> CorrelationMatrix:
     if len(series_list) < 2:
         raise InvalidInputError("need at least 2 series for a correlation matrix")
     m = len(series_list)
-    logs = [dict(zip(s.times.tolist(), np.log(s.values).tolist())) for s in series_list]
     cells: list[list[CorrelationEntry]] = [[None] * m for _ in range(m)]  # type: ignore[list-item]
     for i in range(m):
         n_i = series_list[i].n
@@ -272,19 +233,7 @@ def correlation_matrix(series_list: Sequence[TechSeries]) -> CorrelationMatrix:
             r=1.0, p=0.0 if n_i >= 3 else math.nan, n=n_i
         )
         for j in range(i + 1, m):
-            shared = sorted(set(logs[i]) & set(logs[j]))
-            n_pair = len(shared)
-            if n_pair < 3:
-                entry = CorrelationEntry(r=math.nan, p=math.nan, n=n_pair)
-            else:
-                xi = [logs[i][t] for t in shared]
-                xj = [logs[j][t] for t in shared]
-                try:
-                    entry = statkit.pearson(xi, xj)
-                except UndefinedCorrelationError:
-                    entry = CorrelationEntry(r=math.nan, p=math.nan, n=n_pair)
-            cells[i][j] = entry
-            cells[j][i] = entry
+            cells[i][j] = cells[j][i] = _correlation(series_list[i], series_list[j])
     return CorrelationMatrix(
         names=tuple(s.name for s in series_list),
         entries=tuple(tuple(row) for row in cells),
@@ -324,9 +273,7 @@ def build_report(
     fits: tuple[EvolutionFit, ...] = ()
     multi_fits: tuple[MultiEvolutionFit, ...] = ()
     if multi:
-        multi_fits = (
-            fit_evolution_multi(parasites[0], host, parasites[1:], alpha=alpha),
-        )
+        multi_fits = (fit_evolution_multi(parasites[0], host, parasites[1:]),)
     else:
         fits = tuple(fit_evolution(host, p, alpha=alpha) for p in parasites)
 
@@ -336,7 +283,7 @@ def build_report(
         correlations = correlation_matrix(all_series)
 
     descriptives = tuple(
-        (s.name, statkit.descriptive(np.log(s.values))) for s in all_series
+        (s.name, statkit.descriptive(s.log_values())) for s in all_series
     )
 
     trajectories = []

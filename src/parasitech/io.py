@@ -1,6 +1,7 @@
 """Dataset ingestion, report serialization, and plot-data emission.
 
-Series files are two-column UTF-8 CSVs with header ``t,value``; ``#`` lines
+Series files are two-column UTF-8 CSVs with header ``t,value`` (a leading
+byte-order mark, as spreadsheet exports write, is accepted); ``#`` lines
 are comments. Reports render as human-readable text (regression-table
 layout), JSON with a stable key set, or one-row-per-fit CSV. Numbers in
 series/plot CSVs use shortest round-trip decimal text, which carries more
@@ -68,7 +69,7 @@ def parse_series_csv(
             f"aggregator must be one of {sorted(AGGREGATORS)}, got {aggregator!r}"
         )
     agg = AGGREGATORS[aggregator]
-    text = path.read_text(encoding="utf-8")
+    text = path.read_text(encoding="utf-8-sig")
 
     warnings: list[str] = []
     rows: list[tuple[float, float, int]] = []
@@ -141,7 +142,7 @@ def write_series_csv(series: TechSeries, path: str | Path) -> Path:
     """Write a TechSeries in the same schema ``parse_series_csv`` reads."""
     path = Path(path)
     lines = ["t,value"]
-    lines += [f"{_num(t)},{_num(v)}" for t, v in series.observations]
+    lines += [f"{_num(t)},{_num(v)}" for t, v in zip(series.times, series.values)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 

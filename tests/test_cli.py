@@ -22,6 +22,38 @@ def write_series(tmp_path, name, times, values):
     return path
 
 
+def strict_json(text):
+    """Decode JSON, rejecting the NaN and Infinity tokens JSON does not have."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def copies_with_one_stem(tmp_path, paths):
+    """Copy each file to its own directory as x.csv: one stem, many files."""
+    copies = []
+    for i, path in enumerate(paths):
+        copy = tmp_path / f"dir{i}" / "x.csv"
+        copy.parent.mkdir()
+        copy.write_bytes(path.read_bytes())
+        copies.append(copy)
+    return copies
+
+
+RECOVER_CONFIG = {
+    "host": {"k": 100.0, "t_star": 120.0, "b": 0.05},
+    "parasites": [{"k": 50.0, "t_star": 80.0, "b": 0.087}],
+    "t_start": 0.0,
+    "t_end": 43.0,
+    "n_points": 44,
+    "noise_sigma": 0.03,
+    "missing_prob": 0.0,
+    "seed": 5,
+}
+
+
 @pytest.fixture
 def pair(tmp_path, rng):
     t = np.arange(1950, 1994)
@@ -187,6 +219,42 @@ class TestEvolveCommand:
         assert fit["target"] == "cam"
         assert fit["predictors"] == ["cpu", "ram"]
 
+    def test_same_stem_files_stay_distinct(self, capsys, tmp_path, pair):
+        results = []
+        for host, parasite in (pair, copies_with_one_stem(tmp_path, pair)):
+            code, out, _ = run_cli(
+                capsys, "evolve", "--host", str(host), "--parasite", str(parasite),
+                "--format", "json",
+            )
+            assert code == EXIT_OK
+            (fit,) = json.loads(out)["fits"]
+            results.append((fit["b"], fit["n"]))
+        assert results[0] == results[1]
+        assert abs(results[0][0] - 1.5) < 0.1
+
+    def test_multi_same_stem_files_stay_distinct(self, capsys, tmp_path, rng):
+        t = np.arange(2008, 2019)
+        h = np.exp(rng.uniform(0, 1, t.size))
+        p2 = np.exp(rng.uniform(0, 2, t.size))
+        p1 = h**0.5 * p2**0.3 * np.exp(rng.normal(0, 0.02, t.size))
+        files = [
+            write_series(tmp_path, "cpu.csv", t, h),
+            write_series(tmp_path, "cam.csv", t, p1),
+            write_series(tmp_path, "ram.csv", t, p2),
+        ]
+        results = []
+        for host, target, sibling in (files, copies_with_one_stem(tmp_path, files)):
+            code, out, _ = run_cli(
+                capsys,
+                "evolve-multi", "--host", str(host),
+                "--parasite", str(target), "--parasite", str(sibling),
+                "--format", "json",
+            )
+            assert code == EXIT_OK
+            (fit,) = json.loads(out)["multi_fits"]
+            results.append((fit["coefficients"], fit["n"]))
+        assert results[0] == results[1]
+
     def test_multi_needs_two_parasites(self, capsys, pair):
         host, parasite = pair
         code, _, err = run_cli(
@@ -250,6 +318,19 @@ class TestCorrelateCommand:
         payload = json.loads(out)
         assert payload["names"] == ["a", "b"]
         assert payload["entries"][0][0]["r"] == 1.0
+
+    def test_json_is_strict_for_short_series(self, capsys, tmp_path, rng):
+        t = np.arange(2000, 2016)
+        short = write_series(tmp_path, "short.csv", [2000, 2001], [1.0, 2.0])
+        long = write_series(tmp_path, "long.csv", t, np.exp(rng.uniform(0, 1, t.size)))
+        code, out, _ = run_cli(
+            capsys, "correlate", "--series", str(short), "--series", str(long),
+            "--format", "json",
+        )
+        assert code == EXIT_OK
+        payload = strict_json(out)
+        assert payload["entries"][0][0] == {"r": 1.0, "p": None, "n": 2}
+        assert payload["entries"][0][1] == {"r": None, "p": None, "n": 2}
 
     def test_needs_two(self, capsys, tmp_path, rng):
         t = np.arange(2000, 2016)
@@ -347,18 +428,8 @@ class TestSimulateAndRecover:
         assert (tmp_path / "flag_host.csv").read_text() == b
 
     def test_recover(self, capsys, tmp_path):
-        config = {
-            "host": {"k": 100.0, "t_star": 120.0, "b": 0.05},
-            "parasites": [{"k": 50.0, "t_star": 80.0, "b": 0.087}],
-            "t_start": 0.0,
-            "t_end": 43.0,
-            "n_points": 44,
-            "noise_sigma": 0.03,
-            "missing_prob": 0.0,
-            "seed": 5,
-        }
         path = tmp_path / "sim.json"
-        path.write_text(json.dumps(config))
+        path.write_text(json.dumps(RECOVER_CONFIG))
         code, out, _ = run_cli(
             capsys,
             "recover", "--config", str(path), "--replicates", "25",
@@ -378,3 +449,32 @@ class TestSimulateAndRecover:
             capsys, "recover", "--config", str(path), "--replicates", "5"
         )
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            [1, 2],
+            {**RECOVER_CONFIG, "host": [100.0, 0.05]},
+            {**RECOVER_CONFIG, "parasites": [5]},
+            {**RECOVER_CONFIG, "t_start": "soon"},
+            {**RECOVER_CONFIG, "noise_sigma": None},
+            {**RECOVER_CONFIG, "n_points": 44.9},
+        ],
+        ids=[
+            "not-an-object",
+            "host-not-an-object",
+            "parasite-not-an-object",
+            "non-numeric-field",
+            "null-field",
+            "fractional-n-points",
+        ],
+    )
+    def test_recover_malformed_config_is_data_error(self, capsys, tmp_path, config):
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(
+            capsys, "recover", "--config", str(path), "--replicates", "5"
+        )
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err.startswith("DATA_ERROR:") and err.count("\n") == 1

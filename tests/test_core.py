@@ -44,7 +44,19 @@ class TestTechSeries:
 
     def test_rejects_empty(self):
         with pytest.raises(InvalidInputError):
-            TechSeries("x", "host", "", ())
+            TechSeries.from_columns("x", "host", "", [], [])
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(InvalidInputError):
+            TechSeries.from_columns("x", "host", "", [1, 2, 3], [1.0, 2.0])
+
+    def test_arrays_are_read_only(self):
+        times = np.array([1.0, 2.0])
+        s = TechSeries.from_columns("x", "host", "", times, [1.0, 2.0])
+        times[0] = 0.0  # the series keeps its own copy
+        assert s.times[0] == 1.0
+        with pytest.raises(ValueError):
+            s.values[0] = 5.0
 
     def test_scaled(self):
         s = TechSeries.from_columns("x", "host", "", [1, 2], [2.0, 4.0])

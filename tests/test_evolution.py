@@ -10,7 +10,6 @@ from parasitech import (
     LogisticParams,
     NoOverlapError,
     TechSeries,
-    align_by_year,
     build_report,
     correlation_matrix,
     fit_evolution,
@@ -34,26 +33,30 @@ def host(rng):
     return make_series("host", t, values, role="host")
 
 
+def random_series(rng, name, years, role="parasite"):
+    return make_series(name, years, np.exp(rng.uniform(0, 2, len(years))), role=role)
+
+
 class TestAlignByYear:
     def test_pairwise_intersection(self):
-        h = make_series("h", [1, 2, 3], [1.0, 2.0, 3.0], role="host")
-        p = make_series("p", [2, 3, 4], [5.0, 6.0, 7.0])
-        (table,) = align_by_year(h, [p], mode="pairwise")
-        assert table.years == (2.0, 3.0)
-        np.testing.assert_allclose(table.column("h"), np.log([2.0, 3.0]))
-        np.testing.assert_allclose(table.column("p"), np.log([5.0, 6.0]))
+        h = make_series("h", [1, 2, 3, 4, 5], [1.0, 2.0, 3.0, 5.0, 8.0], role="host")
+        p = make_series("p", [2, 3, 4, 5, 6], [5.0, 6.0, 9.0, 7.0, 4.0])
+        fit = fit_evolution(h, p)
+        assert fit.years_used == (2.0, 3.0, 4.0, 5.0)
+        np.testing.assert_allclose(fit.log_host_values, np.log([2.0, 3.0, 5.0, 8.0]))
+        np.testing.assert_allclose(fit.log_parasite_values, np.log([5.0, 6.0, 9.0, 7.0]))
 
     def test_disjoint_years_error(self):
-        h = make_series("h", [1, 2], [1.0, 2.0], role="host")
-        p = make_series("p", [3, 4], [5.0, 6.0])
+        h = make_series("h", [1, 2, 3, 4], [1.0, 2.0, 3.0, 4.0], role="host")
+        p = make_series("p", [5, 6, 7, 8], [5.0, 6.0, 7.0, 8.0])
         with pytest.raises(NoOverlapError):
-            align_by_year(h, [p])
+            fit_evolution(h, p)
 
-    def test_listwise_staggered_gaps(self):
-        h = make_series("h", [1, 2, 3, 5, 6, 8], [1.0] * 6, role="host")
-        p1 = make_series("p1", [2, 3, 4, 5, 8], [1.0] * 5)
-        p2 = make_series("p2", [1, 2, 3, 5, 7, 8, 9], [1.0] * 7)
-        (table,) = align_by_year(h, [p1, p2], mode="listwise")
+    def test_listwise_staggered_gaps(self, rng):
+        h = random_series(rng, "h", [1, 2, 3, 5, 6, 8], role="host")
+        p1 = random_series(rng, "p1", [2, 3, 4, 5, 8])
+        p2 = random_series(rng, "p2", [1, 2, 3, 5, 7, 8, 9])
+        fit = fit_evolution_multi(p1, h, [p2])
         # brute-force scan over every year mentioned anywhere
         all_years = sorted(
             set(h.times.tolist())
@@ -67,22 +70,18 @@ class TestAlignByYear:
                 y in s.times.tolist() for s in (h, p1, p2)
             )
         ]
-        assert list(table.years) == expected
-        assert table.n == len(expected)
+        assert list(fit.years_used) == expected
+        assert fit.n_listwise == len(expected)
 
-    def test_pairwise_vs_listwise_counts(self):
-        h = make_series("h", [1, 2, 3, 4], [1.0] * 4, role="host")
-        p1 = make_series("p1", [1, 2, 3], [1.0] * 3)
-        p2 = make_series("p2", [3, 4], [1.0] * 2)
-        tables = align_by_year(h, [p1, p2], mode="pairwise")
-        assert [t.n for t in tables] == [3, 2]
-        (listwise,) = align_by_year(h, [p1, p2], mode="listwise")
-        assert listwise.years == (3.0,)
-
-    def test_bad_mode(self):
-        h = make_series("h", [1, 2], [1.0, 2.0], role="host")
-        with pytest.raises(InvalidInputError):
-            align_by_year(h, [h], mode="both")
+    def test_pairwise_vs_listwise_counts(self, rng):
+        h = random_series(rng, "h", range(1, 9), role="host")
+        p1 = random_series(rng, "p1", range(1, 7))
+        p2 = random_series(rng, "p2", range(3, 8))
+        pairwise = build_report(h, [p1, p2])
+        assert [f.n_paired for f in pairwise.fits] == [6, 5]
+        (listwise,) = build_report(h, [p1, p2], multi=True).multi_fits
+        assert listwise.years_used == (3.0, 4.0, 5.0, 6.0)
+        assert listwise.n_listwise == 4
 
 
 class TestFitEvolution:

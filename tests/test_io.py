@@ -50,6 +50,12 @@ class TestParseSeriesCsv:
         sf = parse_series_csv(write(tmp_path, text))
         assert sf.parsed.n == 1
 
+    def test_utf8_bom_accepted(self, tmp_path):
+        path = tmp_path / "export.csv"
+        path.write_bytes(b"\xef\xbb\xbft,value\n1920,2.5\n1921,2.7\n")
+        sf = parse_series_csv(path)
+        np.testing.assert_array_equal(sf.parsed.values, [2.5, 2.7])
+
     def test_missing_header(self, tmp_path):
         with pytest.raises(SeriesFormatError):
             parse_series_csv(write(tmp_path, "1920,2.5\n1921,2.7\n"))
@@ -105,7 +111,7 @@ class TestParseSeriesCsv:
         write_series_csv(original, path)
         back = parse_series_csv(path, name="s").parsed
         # exact round trip: shortest-repr decimal text preserves every bit
-        assert back.observations == original.observations
+        assert back == original
 
 
 class TestRenderReportText:
