@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -16,12 +17,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import classify_point, classify_with_test
-from .errors import DataError, FitFailureError, InvalidInputError, ParasitechError
+from .core import TechSeries, classify_point, classify_with_test
+from .errors import FitFailureError, InvalidInputError, ParasitechError
 from .evolution import build_report, correlation_matrix
 from .io import (
     AGGREGATORS,
+    _classification_dict,
+    _clean,
     _correlations_dict,
+    _csv_text,
+    _descriptive_dict,
+    _num,
+    _text_correlations,
     emit_plot_data,
     parse_series_csv,
     render_report,
@@ -37,6 +44,7 @@ EXIT_FIT = 3
 EXIT_USAGE = 4
 
 SEED_ENV_VAR = "PARASITECH_SEED"
+FORECAST_MAX_ROWS = 1_000_000
 
 
 class _UsageError(Exception):
@@ -46,24 +54,25 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems via exit code 4."""
 
+    def __init__(self, **kwargs):
+        kwargs.setdefault("formatter_class", argparse.ArgumentDefaultsHelpFormatter)
+        super().__init__(**kwargs)
+
     def error(self, message):
         raise _UsageError(message)
 
 
-def _env_seed() -> int | None:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return None
+def _seed(explicit: int | None) -> int:
+    """The explicit seed, else ``$PARASITECH_SEED``, else 0."""
+    if explicit is not None:
+        return explicit
+    raw = os.environ.get(SEED_ENV_VAR, "0")
     try:
         return int(raw)
     except ValueError:
         raise InvalidInputError(
             f"{SEED_ENV_VAR} must be an integer, got {raw!r}"
         ) from None
-
-
-def _num(x: float) -> str:
-    return repr(float(x))
 
 
 def _build_parser() -> _Parser:
@@ -73,107 +82,96 @@ def _build_parser() -> _Parser:
             "Measure, classify, and forecast the coevolution of a parasitic "
             "technology subsystem relative to its host technology."
         ),
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def cmd(name: str, help_text: str) -> argparse.ArgumentParser:
-        return sub.add_parser(
-            name,
-            help=help_text,
-            formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-        )
+    def cmd(name, help_text, func, formats=("text", "json"), **defaults):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func, **defaults)
+        if formats:
+            p.add_argument(
+                "--format", choices=formats, default="text", help="output format"
+            )
+        return p
 
-    p = cmd("evolve", "fit the log-log evolution model for host/parasite pairs")
-    p.add_argument("--host", required=True, help="host series CSV (t,value)")
-    p.add_argument(
-        "--parasite",
-        required=True,
-        action="append",
-        help="parasite series CSV; repeat for several pairwise fits",
-    )
-    p.add_argument("--alpha", type=float, default=0.05, help="test level for B=1")
-    p.add_argument(
-        "--aggregator",
-        choices=sorted(AGGREGATORS),
-        default="mean",
-        help="collapse rule for duplicate years at ingestion",
-    )
-    p.add_argument(
-        "--format", choices=["text", "json", "csv"], default="text",
-        help="report format",
-    )
-    p.add_argument(
-        "--plot-data", metavar="PREFIX", default=None,
-        help="also write per-fit and trajectory CSVs under this path prefix",
-    )
+    def add_input(p, k_max_factor=False):
+        p.add_argument("--input", required=True, help="series CSV (t,value)")
+        if k_max_factor:
+            p.add_argument(
+                "--k-max-factor", type=float, default=10.0,
+                help="search K up to this multiple of the largest observed value",
+            )
+
+    for name, help_text, parasite_help, plot_help in (
+        (
+            "evolve", "fit the log-log evolution model for host/parasite pairs",
+            "parasite series CSV; repeat for several pairwise fits",
+            "also write per-fit and trajectory CSVs under this path prefix",
+        ),
+        (
+            "evolve-multi",
+            "fit the first parasite on host plus the remaining parasites",
+            "parasite CSV; first is the target, repeat for siblings",
+            "also write trajectory CSVs under this path prefix",
+        ),
+    ):
+        multi = name == "evolve-multi"
+        p = cmd(name, help_text, _cmd_evolve, ("text", "json", "csv"), multi=multi)
+        p.add_argument("--host", required=True, help="host series CSV (t,value)")
+        p.add_argument(
+            "--parasite", required=True, action="append", help=parasite_help
+        )
+        if not multi:  # the multidimensional fit runs no test of B = 1
+            p.add_argument(
+                "--alpha", type=float, default=0.05, help="test level for B=1"
+            )
+        p.add_argument(
+            "--aggregator", choices=sorted(AGGREGATORS), default="mean",
+            help="collapse rule for duplicate years at ingestion",
+        )
+        p.add_argument("--plot-data", metavar="PREFIX", default=None, help=plot_help)
 
     p = cmd(
-        "evolve-multi",
-        "fit the first parasite on host plus the remaining parasites",
+        "fit-logistic", "fit a logistic growth law to one series", _cmd_fit_logistic
     )
-    p.add_argument("--host", required=True, help="host series CSV (t,value)")
-    p.add_argument(
-        "--parasite",
-        required=True,
-        action="append",
-        help="parasite CSV; first is the target, repeat for siblings",
-    )
-    p.add_argument("--alpha", type=float, default=0.05, help="test level")
-    p.add_argument(
-        "--aggregator", choices=sorted(AGGREGATORS), default="mean",
-        help="collapse rule for duplicate years at ingestion",
-    )
-    p.add_argument(
-        "--format", choices=["text", "json", "csv"], default="text",
-        help="report format",
-    )
-    p.add_argument(
-        "--plot-data", metavar="PREFIX", default=None,
-        help="also write trajectory CSVs under this path prefix",
-    )
+    add_input(p, k_max_factor=True)
 
-    p = cmd("fit-logistic", "fit a logistic growth law to one series")
-    p.add_argument("--input", required=True, help="series CSV (t,value)")
-    p.add_argument(
-        "--k-max-factor", type=float, default=10.0,
-        help="search K up to this multiple of the largest observed value",
-    )
-    p.add_argument("--format", choices=["text", "json"], default="text")
-
-    p = cmd("forecast", "fit a logistic law and extrapolate it")
-    p.add_argument("--input", required=True, help="series CSV (t,value)")
+    p = cmd("forecast", "fit a logistic law and extrapolate it", _cmd_forecast, ())
+    add_input(p, k_max_factor=True)
     p.add_argument("--to", type=float, required=True, help="last time to forecast")
     p.add_argument("--step", type=float, default=1.0, help="grid step")
-    p.add_argument(
-        "--k-max-factor", type=float, default=10.0,
-        help="search K up to this multiple of the largest observed value",
-    )
 
-    p = cmd("correlate", "pairwise-deletion correlation matrix over log values")
+    p = cmd(
+        "correlate", "pairwise-deletion correlation matrix over log values",
+        _cmd_correlate,
+    )
     p.add_argument(
         "--series", required=True, action="append",
         help="series CSV; repeat (at least twice)",
     )
-    p.add_argument("--format", choices=["text", "json"], default="text")
 
-    p = cmd("classify", "grade an evolutionary coefficient on the scale")
+    p = cmd("classify", "grade an evolutionary coefficient on the scale", _cmd_classify)
     p.add_argument("--b", type=float, required=True, help="estimated coefficient")
     p.add_argument("--se", type=float, default=None, help="standard error of B")
     p.add_argument("--n", type=int, default=None, help="sample size behind B")
     p.add_argument("--alpha", type=float, default=0.05, help="test level")
-    p.add_argument("--format", choices=["text", "json"], default="text")
 
-    p = cmd("simulate", "generate a coupled host/parasite pair as CSV files")
-    p.add_argument("--k1", type=float, required=True, help="host equilibrium K1")
-    p.add_argument("--b1", type=float, required=True, help="host growth rate b1")
-    p.add_argument("--t1", type=float, required=True, help="host inflection time")
-    p.add_argument("--k2", type=float, required=True, help="parasite equilibrium K2")
-    p.add_argument("--b2", type=float, required=True, help="parasite growth rate b2")
-    p.add_argument("--t2", type=float, required=True, help="parasite inflection time")
-    p.add_argument("--t-start", type=float, required=True, help="first grid time")
-    p.add_argument("--t-end", type=float, required=True, help="last grid time")
+    p = cmd(
+        "simulate", "generate a coupled host/parasite pair as CSV files",
+        _cmd_simulate, (),
+    )
+    for flag, help_text in (
+        ("--k1", "host equilibrium K1"),
+        ("--b1", "host growth rate b1"),
+        ("--t1", "host inflection time"),
+        ("--k2", "parasite equilibrium K2"),
+        ("--b2", "parasite growth rate b2"),
+        ("--t2", "parasite inflection time"),
+        ("--t-start", "first grid time"),
+        ("--t-end", "last grid time"),
+    ):
+        p.add_argument(flag, type=float, required=True, help=help_text)
     p.add_argument("--n", type=int, required=True, help="number of grid points")
     p.add_argument("--noise", type=float, default=0.0, help="lognormal sigma")
     p.add_argument("--missing", type=float, default=0.0, help="dropout probability")
@@ -186,55 +184,63 @@ def _build_parser() -> _Parser:
         help="write <prefix>_host.csv and <prefix>_parasite.csv",
     )
 
-    p = cmd("recover", "Monte Carlo recovery of the evolutionary coefficient")
+    p = cmd(
+        "recover", "Monte Carlo recovery of the evolutionary coefficient",
+        _cmd_recover,
+    )
     p.add_argument("--config", required=True, help="scenario JSON file")
     p.add_argument("--replicates", type=int, required=True, help="replicate count")
     p.add_argument(
         "--early-phase", action="store_true",
         help="restrict fits to the early-phase window (values below 10%% of K)",
     )
-    p.add_argument("--format", choices=["text", "json"], default="text")
 
-    p = cmd("stats", "descriptive statistics of one series")
-    p.add_argument("--input", required=True, help="series CSV (t,value)")
-    p.add_argument(
-        "--log", action="store_true", help="compute on natural-log values"
+    p = cmd("stats", "descriptive statistics of one series", _cmd_stats)
+    add_input(p)
+    p.add_argument("--log", action="store_true", help="compute on natural-log values")
+
+    p = cmd(
+        "standardize", "z-score one series (CSV t,z to stdout)", _cmd_standardize, ()
     )
-    p.add_argument("--format", choices=["text", "json"], default="text")
-
-    p = cmd("standardize", "z-score one series (CSV t,z to stdout)")
-    p.add_argument("--input", required=True, help="series CSV (t,value)")
-
+    add_input(p)
     return parser
 
 
-def _print_warnings(series_files) -> None:
-    for sf in series_files:
+def _load(paths, aggregator: str = "mean", host: bool = False) -> list[TechSeries]:
+    """Parse each series file (the first as the host when ``host``); warnings
+    print only once every file has parsed, so a bad file prints just its error."""
+    files = [
+        parse_series_csv(
+            path,
+            role="host" if host and i == 0 else "parasite",
+            aggregator=aggregator,
+        )
+        for i, path in enumerate(paths)
+    ]
+    for sf in files:
         for w in sf.warnings:
             print(f"WARNING: {sf.path}: {w}", file=sys.stderr)
+    return [sf.parsed for sf in files]
 
 
-def _load(path: str, role: str, aggregator: str = "mean"):
-    sf = parse_series_csv(path, role=role, aggregator=aggregator)
-    return sf
+def _print_json(payload) -> None:
+    print(json.dumps(payload, indent=2, allow_nan=False))
 
 
-def _cmd_evolve(args, multi: bool) -> int:
-    host_file = _load(args.host, "host", args.aggregator)
-    parasite_files = [_load(p, "parasite", args.aggregator) for p in args.parasite]
-    _print_warnings([host_file, *parasite_files])
-    if multi and len(parasite_files) < 2:
+def _cmd_evolve(args) -> int:
+    paths = [args.host, *args.parasite]
+    host, *parasites = _load(paths, args.aggregator, host=True)
+    if args.multi and len(parasites) < 2:
         raise InvalidInputError(
             "evolve-multi needs a target parasite plus at least one sibling "
             "(pass --parasite at least twice)"
         )
     report = build_report(
-        host_file.parsed,
-        [pf.parsed for pf in parasite_files],
-        multi=multi,
-        alpha=args.alpha,
-        source_files=[Path(args.host).name]
-        + [Path(p).name for p in args.parasite],
+        host,
+        parasites,
+        multi=args.multi,
+        **({} if args.multi else {"alpha": args.alpha}),
+        source_files=[Path(p).name for p in paths],
         options={"aggregator": args.aggregator},
     )
     sys.stdout.write(render_report(report, args.format).decode("utf-8"))
@@ -245,24 +251,24 @@ def _cmd_evolve(args, multi: bool) -> int:
 
 
 def _cmd_fit_logistic(args) -> int:
-    sf = _load(args.input, "parasite")
-    _print_warnings([sf])
-    fit = fit_logistic(sf.parsed, k_max_factor=args.k_max_factor)
+    (series,) = _load([args.input])
+    fit = fit_logistic(series, k_max_factor=args.k_max_factor)
     p = fit.params
     if args.format == "json":
-        payload = {
-            "series": sf.parsed.name,
-            "k": p.k,
-            "a": p.a,
-            "b": p.b,
-            "inflection_time": p.inflection_time,
-            "r2_logit": fit.r2_logit,
-            "k_at_bound": fit.k_at_bound,
-            "n": fit.n,
-        }
-        print(json.dumps(payload, indent=2))
+        _print_json(
+            {
+                "series": series.name,
+                "k": _clean(p.k),
+                "a": _clean(p.a),
+                "b": _clean(p.b),
+                "inflection_time": _clean(p.inflection_time),
+                "r2_logit": _clean(fit.r2_logit),
+                "k_at_bound": fit.k_at_bound,
+                "n": fit.n,
+            }
+        )
     else:
-        print(f"series:          {sf.parsed.name}")
+        print(f"series:          {series.name}")
         print(f"K (equilibrium): {_num(p.k)}")
         print(f"a (constant):    {_num(p.a)}")
         print(f"b (growth rate): {_num(p.b)}")
@@ -279,43 +285,40 @@ def _cmd_fit_logistic(args) -> int:
 
 
 def _cmd_forecast(args) -> int:
-    sf = _load(args.input, "parasite")
-    _print_warnings([sf])
+    (series,) = _load([args.input])
+    for flag, value in (("--to", args.to), ("--step", args.step)):
+        if not math.isfinite(value):
+            raise InvalidInputError(f"{flag} must be finite, got {value}")
     if args.step <= 0:
         raise InvalidInputError(f"--step must be positive, got {args.step}")
-    fit = fit_logistic(sf.parsed, k_max_factor=args.k_max_factor)
-    t_last = float(sf.parsed.times[-1])
+    fit = fit_logistic(series, k_max_factor=args.k_max_factor)
+    t_last = float(series.times[-1])
     if args.to < t_last:
         raise InvalidInputError(
             f"--to {args.to} precedes the last observed time {t_last}"
         )
-    horizon = np.arange(t_last, args.to + args.step / 2.0, args.step)
-    rows = forecast_series(fit, horizon)
+    stop = args.to + args.step / 2.0
+    # np.arange's row count, checked before anything is allocated
+    if (stop - t_last) / args.step > FORECAST_MAX_ROWS:
+        raise InvalidInputError(
+            f"--to {args.to} with --step {args.step} asks for more than "
+            f"{FORECAST_MAX_ROWS} forecast rows"
+        )
+    rows = forecast_series(fit, np.arange(t_last, stop, args.step))
     p = fit.params
     print(f"# logistic fit: K={_num(p.k)}, a={_num(p.a)}, b={_num(p.b)}")
-    print("t,value")
-    for t, v in rows:
-        print(f"{_num(t)},{_num(v)}")
+    sys.stdout.write(_csv_text("t,value", *rows.T))
     return EXIT_OK
 
 
 def _cmd_correlate(args) -> int:
     if len(args.series) < 2:
         raise InvalidInputError("correlate needs at least two --series files")
-    files = [_load(p, "parasite") for p in args.series]
-    _print_warnings(files)
-    corr = correlation_matrix([f.parsed for f in files])
+    corr = correlation_matrix(_load(args.series))
     if args.format == "json":
-        print(json.dumps(_correlations_dict(corr), indent=2, allow_nan=False))
+        _print_json(_correlations_dict(corr))
     else:
-        width = max(14, max(len(n) for n in corr.names) + 1)
-        print(" " * width + "".join(f"{n:>{width}}" for n in corr.names))
-        for i, name in enumerate(corr.names):
-            row = f"{name:>{width}}"
-            for e in corr.entries[i]:
-                cell = f"{e.r:.3f}(n={e.n})" if e.defined else f"undef(n={e.n})"
-                row += f"{cell:>{width}}"
-            print(row)
+        print("\n".join(_text_correlations(corr)))
     return EXIT_OK
 
 
@@ -327,24 +330,7 @@ def _cmd_classify(args) -> int:
     else:
         cls = classify_point(args.b)
     if args.format == "json":
-        payload = {
-            "b": cls.b_estimate,
-            "grade": cls.grade,
-            "mode": cls.mode,
-            "evolution": cls.evolution_label,
-            "symbol": cls.symbol,
-            "prediction": cls.prediction,
-            "test": None
-            if cls.test is None
-            else {
-                "t_stat": cls.test.t_stat,
-                "p_value": cls.test.p_value,
-                "alpha": cls.test.alpha,
-                "df": cls.test.df,
-            },
-            "warnings": list(cls.warnings),
-        }
-        print(json.dumps(payload, indent=2))
+        _print_json(_classification_dict(cls))
     else:
         print(f"B = {_num(cls.b_estimate)}")
         print(
@@ -363,27 +349,19 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    seed = args.seed
-    if seed is None:
-        seed = _env_seed()
-    if seed is None:
-        seed = 0
-    host = LogisticParams(k=args.k1, a=args.b1 * args.t1, b=args.b1)
-    parasite = LogisticParams(k=args.k2, a=args.b2 * args.t2, b=args.b2)
     config = SimConfig(
-        host=host,
-        parasites=(parasite,),
+        host=LogisticParams(k=args.k1, a=args.b1 * args.t1, b=args.b1),
+        parasites=(LogisticParams(k=args.k2, a=args.b2 * args.t2, b=args.b2),),
         t_start=args.t_start,
         t_end=args.t_end,
         n_points=args.n,
         noise_sigma=args.noise,
         missing_prob=args.missing,
-        seed=seed,
+        seed=_seed(args.seed),
     )
     host_series, parasites = simulate_pair(config)
     prefix = Path(args.out_prefix)
-    if str(prefix.parent) not in ("", ".") and not prefix.parent.exists():
-        prefix.parent.mkdir(parents=True, exist_ok=True)
+    prefix.parent.mkdir(parents=True, exist_ok=True)
     host_path = prefix.with_name(prefix.name + "_host.csv")
     parasite_path = prefix.with_name(prefix.name + "_parasite.csv")
     write_series_csv(host_series, host_path)
@@ -424,9 +402,6 @@ def _cmd_recover(args) -> int:
     if not isinstance(raw, dict):
         raise InvalidInputError(f"{args.config}: config must be a JSON object")
     try:
-        seed = raw.get("seed")
-        if seed is None:
-            seed = _env_seed() or 0
         config = SimConfig(
             host=_parse_logistic_json(raw["host"], "host"),
             parasites=tuple(
@@ -438,7 +413,7 @@ def _cmd_recover(args) -> int:
             n_points=_json_int(raw["n_points"], "n_points"),
             noise_sigma=float(raw.get("noise_sigma", 0.0)),
             missing_prob=float(raw.get("missing_prob", 0.0)),
-            seed=_json_int(seed, "seed"),
+            seed=_json_int(_seed(raw.get("seed")), "seed"),
         )
     except KeyError as missing:
         raise InvalidInputError(f"{args.config}: missing key {missing}") from None
@@ -448,19 +423,18 @@ def _cmd_recover(args) -> int:
         config, args.replicates, early_phase_only=args.early_phase
     )
     if args.format == "json":
-        payload = {
-            "replicates": summary.replicates,
-            "true_b": summary.true_b,
-            "bias": summary.bias,
-            "rmse": summary.rmse,
-            "coverage_95": None
-            if not np.isfinite(summary.coverage_95)
-            else summary.coverage_95,
-            "failures": summary.failures,
-            "perfect_fits": summary.perfect_fits,
-            "estimates": list(summary.estimates),
-        }
-        print(json.dumps(payload, indent=2))
+        _print_json(
+            {
+                "replicates": summary.replicates,
+                "true_b": _clean(summary.true_b),
+                "bias": _clean(summary.bias),
+                "rmse": _clean(summary.rmse),
+                "coverage_95": _clean(summary.coverage_95),
+                "failures": summary.failures,
+                "perfect_fits": summary.perfect_fits,
+                "estimates": [_clean(e) for e in summary.estimates],
+            }
+        )
     else:
         print(f"replicates:   {summary.replicates} ({summary.failures} failed)")
         print(f"true B:       {_num(summary.true_b)}")
@@ -478,24 +452,13 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    sf = _load(args.input, "parasite")
-    _print_warnings([sf])
-    values = sf.parsed.log_values() if args.log else sf.parsed.values
-    d = descriptive(values)
+    (series,) = _load([args.input])
+    d = descriptive(series.log_values() if args.log else series.values)
     scale = "log" if args.log else "raw"
     if args.format == "json":
-        payload = {
-            "series": sf.parsed.name,
-            "scale": scale,
-            "n": d.n,
-            "mean": d.mean,
-            "sd": d.sd,
-            "skewness": d.skewness,
-            "kurtosis": d.kurtosis,
-        }
-        print(json.dumps(payload, indent=2))
+        _print_json({"series": series.name, "scale": scale, **_descriptive_dict(d)})
     else:
-        print(f"series:   {sf.parsed.name} ({scale} scale)")
+        print(f"series:   {series.name} ({scale} scale)")
         print(f"n:        {d.n}")
         print(f"mean:     {_num(d.mean)}")
         print(f"sd:       {_num(d.sd)}")
@@ -505,12 +468,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_standardize(args) -> int:
-    sf = _load(args.input, "parasite")
-    _print_warnings([sf])
-    z = zscore(sf.parsed.values)
-    print("t,z")
-    for t, zv in zip(sf.parsed.times, z):
-        print(f"{_num(t)},{_num(zv)}")
+    (series,) = _load([args.input])
+    sys.stdout.write(_csv_text("t,z", series.times, zscore(series.values)))
     return EXIT_OK
 
 
@@ -521,37 +480,14 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise _UsageError("a command is required (see --help)")
-        if args.command == "evolve":
-            return _cmd_evolve(args, multi=False)
-        if args.command == "evolve-multi":
-            return _cmd_evolve(args, multi=True)
-        if args.command == "fit-logistic":
-            return _cmd_fit_logistic(args)
-        if args.command == "forecast":
-            return _cmd_forecast(args)
-        if args.command == "correlate":
-            return _cmd_correlate(args)
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "recover":
-            return _cmd_recover(args)
-        if args.command == "stats":
-            return _cmd_stats(args)
-        if args.command == "standardize":
-            return _cmd_standardize(args)
-        raise _UsageError(f"unknown command {args.command!r}")
+        return args.func(args)
     except _UsageError as err:
         print(f"USAGE_ERROR: {err}", file=sys.stderr)
         return EXIT_USAGE
     except FitFailureError as err:
         print(f"FIT_ERROR: {err}", file=sys.stderr)
         return EXIT_FIT
-    except (DataError, OSError) as err:
-        print(f"DATA_ERROR: {err}", file=sys.stderr)
-        return EXIT_DATA
-    except ParasitechError as err:
+    except (ParasitechError, OSError) as err:
         print(f"DATA_ERROR: {err}", file=sys.stderr)
         return EXIT_DATA
 

@@ -172,7 +172,7 @@ def _make_class(grade: int, b: float, test: BTest | None) -> EvolutionClass:
     if b < 0:
         warnings = (
             "negative evolutionary coefficient: the growth model assumes "
-            "positive rates; grade 1 assigned by convention",
+            f"positive rates; grade {grade} assigned",
         )
     return EvolutionClass(
         grade=grade,

@@ -25,7 +25,7 @@ from .evolution import (
     EvolutionFit,
     MultiEvolutionFit,
 )
-from .statkit import significance_stars
+from .statkit import DescriptiveStats, significance_stars
 
 AGGREGATORS = {
     "mean": statistics.fmean,
@@ -138,12 +138,16 @@ def _num(x: float) -> str:
     return repr(float(x))
 
 
+def _csv_text(header: str, *columns) -> str:
+    """CSV text of numeric columns, one row per index, under ``header``."""
+    rows = (",".join(map(_num, row)) for row in zip(*columns))
+    return "\n".join([header, *rows]) + "\n"
+
+
 def write_series_csv(series: TechSeries, path: str | Path) -> Path:
     """Write a TechSeries in the same schema ``parse_series_csv`` reads."""
     path = Path(path)
-    lines = ["t,value"]
-    lines += [f"{_num(t)},{_num(v)}" for t, v in zip(series.times, series.values)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text(_csv_text("t,value", series.times, series.values), encoding="utf-8")
     return path
 
 
@@ -176,6 +180,17 @@ def _classification_dict(cls) -> dict:
     }
 
 
+def _fit_stats_dict(reg) -> dict:
+    return {
+        "r2": _clean(reg.r2),
+        "r2_adj": _clean(reg.r2_adj),
+        "residual_se": _clean(reg.residual_se),
+        "f_stat": _clean(reg.f_stat),
+        "f_p": _clean(reg.f_p),
+        "perfect_fit": reg.perfect_fit,
+    }
+
+
 def _fit_dict(fit: EvolutionFit) -> dict:
     reg = fit.regression
     return {
@@ -189,12 +204,7 @@ def _fit_dict(fit: EvolutionFit) -> dict:
         "b_se": _clean(reg.standard_errors[1]),
         "b_stars": significance_stars(reg.p_values[1]),
         "b_p": _clean(reg.p_values[1]),
-        "r2": _clean(reg.r2),
-        "r2_adj": _clean(reg.r2_adj),
-        "residual_se": _clean(reg.residual_se),
-        "f_stat": _clean(reg.f_stat),
-        "f_p": _clean(reg.f_p),
-        "perfect_fit": reg.perfect_fit,
+        **_fit_stats_dict(reg),
         "classification": _classification_dict(fit.classification),
     }
 
@@ -214,12 +224,7 @@ def _multi_fit_dict(fit: MultiEvolutionFit) -> dict:
         "standardized_coefficients": [
             _clean(s) for s in reg.standardized_coefficients
         ],
-        "r2": _clean(reg.r2),
-        "r2_adj": _clean(reg.r2_adj),
-        "residual_se": _clean(reg.residual_se),
-        "f_stat": _clean(reg.f_stat),
-        "f_p": _clean(reg.f_p),
-        "perfect_fit": reg.perfect_fit,
+        **_fit_stats_dict(reg),
         "dominant_predictors": list(fit.dominant_predictors),
     }
 
@@ -239,6 +244,16 @@ def _correlations_dict(corr: CorrelationMatrix | None) -> dict | None:
     }
 
 
+def _descriptive_dict(d: DescriptiveStats) -> dict:
+    return {
+        "n": d.n,
+        "mean": _clean(d.mean),
+        "sd": _clean(d.sd),
+        "skewness": _clean(d.skewness),
+        "kurtosis": _clean(d.kurtosis),
+    }
+
+
 def report_to_dict(report: AnalysisReport) -> dict:
     """Stable-keyed dictionary form of a report (the JSON schema)."""
     return {
@@ -253,15 +268,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
         "multi_fits": [_multi_fit_dict(f) for f in report.multi_fits],
         "correlations": _correlations_dict(report.correlations),
         "descriptives": [
-            {
-                "name": name,
-                "n": d.n,
-                "mean": _clean(d.mean),
-                "sd": _clean(d.sd),
-                "skewness": _clean(d.skewness),
-                "kurtosis": _clean(d.kurtosis),
-            }
-            for name, d in report.descriptives
+            {"name": name, **_descriptive_dict(d)} for name, d in report.descriptives
         ],
         "standardized_trajectories": [
             {
@@ -274,12 +281,8 @@ def report_to_dict(report: AnalysisReport) -> dict:
     }
 
 
-def _fmt2(x: float) -> str:
-    return "nan" if not math.isfinite(x) else f"{x:.2f}"
-
-
-def _fmt3(x: float) -> str:
-    return "nan" if not math.isfinite(x) else f"{x:.3f}"
+def _fmt(x: float, digits: int = 2) -> str:
+    return "nan" if not math.isfinite(x) else f"{x:.{digits}f}"
 
 
 def _text_fit_block(fit: EvolutionFit) -> list[str]:
@@ -290,21 +293,21 @@ def _text_fit_block(fit: EvolutionFit) -> list[str]:
     lines = [
         f"Fit: {fit.parasite_name} ~ {fit.host_name}  (n={fit.n_paired})",
         f"  Constant alpha (St. Err.):             "
-        f"{_fmt2(fit.log_a)}{stars_a} ({_fmt2(reg.standard_errors[0])})",
+        f"{_fmt(fit.log_a)}{stars_a} ({_fmt(reg.standard_errors[0])})",
         f"  Evolutionary coefficient B (St. Err.): "
-        f"{_fmt2(fit.b)}{stars_b} ({_fmt2(reg.standard_errors[1])})",
+        f"{_fmt(fit.b)}{stars_b} ({_fmt(reg.standard_errors[1])})",
         f"  R2 adj. (St. Err. of the Estimate):    "
-        f"{_fmt2(reg.r2_adj)} ({_fmt2(reg.residual_se)})",
+        f"{_fmt(reg.r2_adj)} ({_fmt(reg.residual_se)})",
         f"  F (sign.):                             "
-        f"{_fmt2(reg.f_stat)} ({_fmt3(reg.f_p)})",
+        f"{_fmt(reg.f_stat)} ({_fmt(reg.f_p, 3)})",
         f"  Classification: grade {cls.grade} | {cls.mode} | "
         f"{cls.evolution_label} [{cls.symbol}]",
         f"  Prediction: {cls.prediction}",
     ]
     if cls.test is not None:
         lines.append(
-            f"  Test of B=1: t={_fmt3(cls.test.t_stat)}, df={cls.test.df}, "
-            f"p={_fmt3(cls.test.p_value)} (alpha={cls.test.alpha})"
+            f"  Test of B=1: t={_fmt(cls.test.t_stat, 3)}, df={cls.test.df}, "
+            f"p={_fmt(cls.test.p_value, 3)} (alpha={cls.test.alpha})"
         )
     for w in cls.warnings:
         lines.append(f"  Warning: {w}")
@@ -317,24 +320,20 @@ def _text_multi_block(fit: MultiEvolutionFit) -> list[str]:
         f"Multidimensional fit: {fit.target_parasite} ~ "
         f"{' + '.join(fit.predictor_names)}  (n={fit.n_listwise})",
         f"  {'predictor':<28} {'coef':>10}    {'(SE)':>7} {'std coef':>10} {'t':>8}",
-        f"  {'constant':<28} {_fmt2(reg.coefficients[0]):>10}"
-        f"{significance_stars(reg.p_values[0]):<3}"
-        f" {'(' + _fmt2(reg.standard_errors[0]) + ')':>7} {'':>10} "
-        f"{_fmt2(reg.t_stats[0]):>8}",
     ]
-    for j, name in enumerate(fit.predictor_names, start=1):
-        std = reg.standardized_coefficients[j]
+    for j, name in enumerate(["constant", *fit.predictor_names]):
+        std = _fmt(reg.standardized_coefficients[j]) if j else ""
         lines.append(
-            f"  {name:<28} {_fmt2(reg.coefficients[j]):>10}"
+            f"  {name:<28} {_fmt(reg.coefficients[j]):>10}"
             f"{significance_stars(reg.p_values[j]):<3}"
-            f" {'(' + _fmt2(reg.standard_errors[j]) + ')':>7} {_fmt2(std):>10} "
-            f"{_fmt2(reg.t_stats[j]):>8}"
+            f" {'(' + _fmt(reg.standard_errors[j]) + ')':>7} {std:>10} "
+            f"{_fmt(reg.t_stats[j]):>8}"
         )
     lines += [
         f"  R2 adj. (St. Err. of the Estimate):    "
-        f"{_fmt2(reg.r2_adj)} ({_fmt2(reg.residual_se)})",
+        f"{_fmt(reg.r2_adj)} ({_fmt(reg.residual_se)})",
         f"  F (sign.):                             "
-        f"{_fmt2(reg.f_stat)} ({_fmt3(reg.f_p)})",
+        f"{_fmt(reg.f_stat)} ({_fmt(reg.f_p, 3)})",
         f"  Dominant predictors: {', '.join(fit.dominant_predictors)}",
     ]
     return lines
@@ -356,6 +355,20 @@ def _text_correlations(corr: CorrelationMatrix) -> list[str]:
     return lines
 
 
+def _csv_row(kind, target, source, n, reg, cls) -> str:
+    """One report CSV row; coefficient 1 is the host in simple and multi fits."""
+    coefs = (
+        reg.coefficients[0], reg.standard_errors[0],
+        reg.coefficients[1], reg.standard_errors[1],
+    )
+    stats = (reg.r2, reg.r2_adj, reg.residual_se, reg.f_stat, reg.f_p)
+    grade = [cls.grade, cls.mode, cls.evolution_label, cls.symbol] if cls else [""] * 4
+    return ",".join(
+        [kind, target, source, str(n), *map(_num, coefs)]
+        + [significance_stars(reg.p_values[1]), *map(_num, stats), *map(str, grade)]
+    )
+
+
 def render_report(report: AnalysisReport, fmt: ReportFormat | str) -> bytes:
     """Serialize an AnalysisReport as text, JSON, or CSV bytes.
 
@@ -364,13 +377,12 @@ def render_report(report: AnalysisReport, fmt: ReportFormat | str) -> bytes:
     it omits the timestamp so identical analyses render identically. JSON
     carries every field with a stable key order.
     """
-    if isinstance(fmt, str):
-        try:
-            fmt = ReportFormat(fmt)
-        except ValueError:
-            raise InvalidInputError(
-                f"format must be one of {[f.value for f in ReportFormat]}, got {fmt!r}"
-            ) from None
+    try:
+        fmt = ReportFormat(fmt)
+    except ValueError:
+        raise InvalidInputError(
+            f"format must be one of {[f.value for f in ReportFormat]}, got {fmt!r}"
+        ) from None
 
     if fmt is ReportFormat.JSON:
         payload = json.dumps(report_to_dict(report), indent=2, allow_nan=False)
@@ -381,60 +393,20 @@ def render_report(report: AnalysisReport, fmt: ReportFormat | str) -> bytes:
             "kind,target,source,n,intercept,intercept_se,b,b_se,stars,"
             "r2,r2_adj,residual_se,f_stat,f_p,grade,mode,evolution,symbol"
         ]
-        for fit in report.fits:
-            reg = fit.regression
-            cls = fit.classification
-            lines.append(
-                ",".join(
-                    [
-                        "simple",
-                        fit.parasite_name,
-                        fit.host_name,
-                        str(fit.n_paired),
-                        _num(fit.log_a),
-                        _num(reg.standard_errors[0]),
-                        _num(fit.b),
-                        _num(reg.standard_errors[1]),
-                        significance_stars(reg.p_values[1]),
-                        _num(reg.r2),
-                        _num(reg.r2_adj),
-                        _num(reg.residual_se),
-                        _num(reg.f_stat),
-                        _num(reg.f_p),
-                        str(cls.grade),
-                        cls.mode,
-                        cls.evolution_label,
-                        cls.symbol,
-                    ]
-                )
+        lines += [
+            _csv_row(
+                "simple", fit.parasite_name, fit.host_name, fit.n_paired,
+                fit.regression, fit.classification,
             )
-        for fit in report.multi_fits:
-            reg = fit.regression
-            host_idx = 1  # host is always the first predictor
-            lines.append(
-                ",".join(
-                    [
-                        "multi",
-                        fit.target_parasite,
-                        ";".join(fit.predictor_names),
-                        str(fit.n_listwise),
-                        _num(reg.coefficients[0]),
-                        _num(reg.standard_errors[0]),
-                        _num(reg.coefficients[host_idx]),
-                        _num(reg.standard_errors[host_idx]),
-                        significance_stars(reg.p_values[host_idx]),
-                        _num(reg.r2),
-                        _num(reg.r2_adj),
-                        _num(reg.residual_se),
-                        _num(reg.f_stat),
-                        _num(reg.f_p),
-                        "",
-                        "",
-                        "",
-                        "",
-                    ]
-                )
+            for fit in report.fits
+        ]
+        lines += [
+            _csv_row(
+                "multi", fit.target_parasite, ";".join(fit.predictor_names),
+                fit.n_listwise, fit.regression, None,
             )
+            for fit in report.multi_fits
+        ]
         return ("\n".join(lines) + "\n").encode("utf-8")
 
     # text
@@ -464,8 +436,7 @@ def render_report(report: AnalysisReport, fmt: ReportFormat | str) -> bytes:
         lines.append("")
     if report.provenance.inputs:
         lines.append("Inputs: " + ", ".join(report.provenance.inputs))
-    stars_note = "Significance: *** p < .001, ** p < .01, * p < .05"
-    lines.append(stars_note)
+    lines.append("Significance: *** p < .001, ** p < .01, * p < .05")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -484,19 +455,19 @@ def emit_plot_data(report: AnalysisReport, path_prefix: str | Path) -> list[Path
     if not (report.fits or report.multi_fits):
         raise InvalidInputError("report contains no fits; nothing to plot")
     prefix = Path(path_prefix)
-    if str(prefix.parent) not in ("", ".") and not prefix.parent.exists():
-        prefix.parent.mkdir(parents=True, exist_ok=True)
+    prefix.parent.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
     for i, fit in enumerate(report.fits, start=1):
         path = prefix.with_name(
             f"{prefix.name}_fit{i}_{_safe_name(fit.parasite_name)}.csv"
         )
-        lines = ["log_host,log_parasite,log_parasite_fitted"]
-        for log_h, log_p in zip(fit.log_host_values, fit.log_parasite_values):
-            fitted = fit.log_a + fit.b * log_h
-            lines.append(f"{_num(log_h)},{_num(log_p)},{_num(fitted)}")
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        fitted = [fit.log_a + fit.b * log_h for log_h in fit.log_host_values]
+        text = _csv_text(
+            "log_host,log_parasite,log_parasite_fitted",
+            fit.log_host_values, fit.log_parasite_values, fitted,
+        )
+        path.write_text(text, encoding="utf-8")
         written.append(path)
 
     if report.standardized_trajectories:

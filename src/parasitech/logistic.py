@@ -208,9 +208,28 @@ def derive_power_law(host: LogisticParams, parasite: LogisticParams) -> PowerLaw
     b = parasite.b / host.b
     t1 = host.inflection_time
     t2 = parasite.inflection_time
-    c1 = math.exp(host.b * (t2 - t1))
-    a = parasite.k * (c1 * host.k) ** (-b)
+    try:
+        c1 = math.exp(host.b * (t2 - t1))
+    except OverflowError:
+        c1 = math.inf
+    _require_float_range("c1", c1, host, parasite)
+    try:
+        a = parasite.k * (c1 * host.k) ** (-b)
+    except (OverflowError, ZeroDivisionError):  # c1*K1 overflowed or hit 0
+        a = math.inf
+    _require_float_range("a", a, host, parasite)
     return PowerLaw(a=a, b=b, c1=c1)
+
+
+def _require_float_range(
+    name: str, value: float, host: LogisticParams, parasite: LogisticParams
+) -> None:
+    if not 0.0 < value < math.inf:
+        raise InvalidInputError(
+            f"power-law constant {name} "
+            f"{'overflows' if value else 'underflows to 0'} in floating point "
+            f"for host {host} and parasite {parasite}"
+        )
 
 
 def forecast_series(fit: LogisticFitReport, horizon) -> np.ndarray:

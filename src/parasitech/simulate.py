@@ -171,14 +171,12 @@ def monte_carlo_recovery(
     config: SimConfig,
     replicates: int,
     early_phase_only: bool = True,
-    alpha: float = 0.05,
-    early_phase_fraction: float = EARLY_PHASE_FRACTION,
 ) -> RecoverySummary:
     """Repeatedly simulate and refit to measure recovery of B = b2/b1.
 
     Each replicate re-derives its own seed, simulates a host/parasite pair,
     optionally restricts both series to the early-phase window (both values
-    below ``early_phase_fraction`` of their equilibria, judged on the true
+    below ``EARLY_PHASE_FRACTION`` of their equilibria, judged on the true
     laws), and fits the log-log evolution model. Replicate fit failures are
     counted, not fatal; if every replicate fails the harness errors out.
 
@@ -191,8 +189,8 @@ def monte_carlo_recovery(
     true_b = target.b / config.host.b
 
     t_cut = min(
-        early_phase_cutoff(config.host, early_phase_fraction),
-        early_phase_cutoff(target, early_phase_fraction),
+        early_phase_cutoff(config.host),
+        early_phase_cutoff(target),
     )
 
     estimates: list[float] = []
@@ -211,7 +209,7 @@ def monte_carlo_recovery(
                 parasite = parasites[0].restrict(t_cut)
             else:
                 parasite = parasites[0]
-            fit = fit_evolution(host, parasite, alpha=alpha)
+            fit = fit_evolution(host, parasite)
         except ParasitechError:
             failures += 1
             continue

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parasitech.cli import EXIT_DATA, EXIT_FIT, EXIT_OK, EXIT_USAGE, run
 
@@ -478,3 +482,221 @@ class TestSimulateAndRecover:
         assert code == EXIT_DATA
         assert out == ""
         assert err.startswith("DATA_ERROR:") and err.count("\n") == 1
+
+
+class TestForecastGrid:
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--step", "nan"), ("--to", "nan"), ("--to", "inf"), ("--to", "1e300")],
+    )
+    def test_non_finite_or_oversized_grid_is_data_error(
+        self, capsys, tmp_path, flag, value
+    ):
+        t = np.linspace(0, 40, 20)
+        path = write_series(
+            tmp_path, "s.csv", t, 100.0 / (1.0 + np.exp(5.0 - 0.25 * t))
+        )
+        code, out, err = run_cli(
+            capsys, "forecast", "--input", str(path), "--to", "60", flag, value
+        )
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err.startswith("DATA_ERROR:") and err.count("\n") == 1
+
+
+JSON_COMMANDS = {
+    "evolve": ["evolve", "--host", "{host}", "--parasite", "{target}"],
+    "evolve-multi": [
+        "evolve-multi", "--host", "{host}",
+        "--parasite", "{target}", "--parasite", "{sibling}",
+    ],
+    "fit-logistic": ["fit-logistic", "--input", "{logistic}"],
+    "correlate": ["correlate", "--series", "{host}", "--series", "{short}"],
+    "classify": ["classify", "--b", "-0.5", "--se", "1.0", "--n", "10"],
+    "recover": ["recover", "--config", "{config}", "--replicates", "3"],
+    "stats": ["stats", "--input", "{short}"],
+}
+
+
+@pytest.fixture
+def inputs(tmp_path, rng):
+    """Paths of every input file the JSON_COMMANDS templates name."""
+    t = np.arange(2000, 2016)
+    h = np.exp(rng.uniform(0, 1, t.size))
+    sibling = np.exp(rng.uniform(0, 2, t.size))
+    target = h**0.5 * sibling**0.3 * np.exp(rng.normal(0, 0.02, t.size))
+    logistic_t = np.linspace(0, 40, 20)
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps(RECOVER_CONFIG))
+    return {
+        "host": write_series(tmp_path, "host.csv", t, h),
+        "target": write_series(tmp_path, "target.csv", t, target),
+        "sibling": write_series(tmp_path, "sibling.csv", t, sibling),
+        "short": write_series(tmp_path, "short.csv", [2000, 2001], [1.0, 2.0]),
+        "logistic": write_series(
+            tmp_path, "logistic.csv", logistic_t,
+            100.0 / (1.0 + np.exp(5.0 - 0.25 * logistic_t)),
+        ),
+        "config": config,
+    }
+
+
+def json_argv(command, inputs):
+    paths = {k: str(v) for k, v in inputs.items()}
+    return [a.format(**paths) for a in JSON_COMMANDS[command]] + ["--format", "json"]
+
+
+class TestCliContract:
+    @pytest.mark.parametrize("command", sorted(JSON_COMMANDS))
+    def test_json_output_is_strict(self, capsys, inputs, command):
+        code, out, _ = run_cli(capsys, *json_argv(command, inputs))
+        assert code == EXIT_OK
+        assert isinstance(strict_json(out), dict)
+
+    def test_classify_json_is_the_report_classification(self, capsys, inputs):
+        _, out, _ = run_cli(capsys, *json_argv("classify", inputs))
+        classify = strict_json(out)
+        _, out, _ = run_cli(capsys, *json_argv("evolve", inputs))
+        (fit,) = strict_json(out)["fits"]
+        assert list(classify) == list(fit["classification"])
+        assert classify["b_estimate"] == -0.5
+
+    def test_correlate_text_is_the_report_table(self, capsys, inputs):
+        host, target = str(inputs["host"]), str(inputs["target"])
+        _, table, _ = run_cli(
+            capsys, "correlate", "--series", host, "--series", target
+        )
+        _, report, _ = run_cli(
+            capsys, "evolve", "--host", host, "--parasite", target
+        )
+        start = report.index("Correlations")
+        assert table == report[start : report.index("\n\n", start) + 1]
+
+    def test_evolve_multi_has_no_alpha(self, capsys, inputs):
+        argv = json_argv("evolve-multi", inputs) + ["--alpha", "0.1"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("USAGE_ERROR:") and err.count("\n") == 1
+
+    def test_warnings_wait_until_every_file_parses(self, capsys, tmp_path, inputs):
+        duplicated = tmp_path / "dup.csv"
+        duplicated.write_text("t,value\n1,2\n1,3\n2,-1\n3,5\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("t,value\n1,x\n")
+        code, out, err = run_cli(
+            capsys,
+            "evolve", "--host", str(duplicated), "--parasite", str(bad),
+        )
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err.startswith("DATA_ERROR:") and err.count("\n") == 1
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.5, 0.5, 1e300, -1e300]
+flag_floats = st.one_of(
+    st.sampled_from(SPECIAL_FLOATS),
+    st.integers(-60, 120).map(float),
+    st.floats(-3.0, 3.0),
+)
+# whole or special steps only: a tiny finite step below the row cap would
+# print up to a million rows and slow the test down
+grid_steps = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.integers(-5, 10).map(float))
+csv_rows = st.lists(
+    st.tuples(
+        st.integers(0, 25),
+        st.one_of(st.floats(0.01, 1e4), st.sampled_from([0.0, -1.0, math.nan])),
+    ),
+    max_size=12,
+)
+
+
+def flag(name, value):
+    return [f"{name}={value!r}" if isinstance(value, float) else f"{name}={value}"]
+
+
+@st.composite
+def cli_argv(draw, directory):
+    """argv for one command, its numeric flags and CSV inputs drawn at random."""
+    files = []
+    for i in range(draw(st.integers(1, 3))):
+        path = directory / f"s{i}.csv"
+        rows = draw(csv_rows)
+        path.write_text(
+            "t,value\n" + "".join(f"{t},{v!r}\n" for t, v in rows),
+            encoding="utf-8",
+        )
+        files.append(str(path))
+
+    def num():
+        return draw(flag_floats)
+
+    fmt = draw(st.sampled_from(["text", "json"]))
+    command = draw(
+        st.sampled_from(
+            ["evolve", "evolve-multi", "fit-logistic", "forecast", "correlate",
+             "classify", "recover", "stats", "standardize", "simulate"]
+        )
+    )
+    if command in ("evolve", "evolve-multi"):
+        argv = [command, "--host", files[0], "--format", fmt]
+        for path in files[1:]:
+            argv += ["--parasite", path]
+        if command == "evolve":
+            argv += flag("--alpha", num())
+    elif command in ("fit-logistic", "forecast"):
+        argv = [command, "--input", files[0]] + flag("--k-max-factor", num())
+        if command == "forecast":
+            argv += flag("--to", num()) + flag("--step", draw(grid_steps))
+        else:
+            argv += ["--format", fmt]
+    elif command == "correlate":
+        argv = [command, "--format", fmt]
+        for path in files:
+            argv += ["--series", path]
+    elif command == "classify":
+        argv = [command, "--format", fmt] + flag("--b", num())
+        if draw(st.booleans()):
+            argv += flag("--se", num()) + flag("--n", draw(st.integers(-2, 50)))
+            argv += flag("--alpha", num())
+    elif command == "recover":
+        config = directory / "sim.json"
+        scenario = {**RECOVER_CONFIG, "noise_sigma": num(), "t_end": num()}
+        config.write_text(json.dumps(scenario), encoding="utf-8")
+        argv = [command, "--config", str(config), "--format", fmt]
+        argv += flag("--replicates", draw(st.integers(-1, 3)))
+    elif command == "simulate":
+        argv = [command, "--out-prefix", str(directory / "sim")]
+        for name in ("--k1", "--b1", "--t1", "--k2", "--b2", "--t2",
+                     "--t-start", "--t-end", "--noise", "--missing"):
+            argv += flag(name, num())
+        argv += flag("--n", draw(st.integers(-2, 50)))
+    else:
+        argv = [command, "--input", files[0]]
+        if command == "stats":
+            argv += ["--format", fmt, "--log"]
+    return argv
+
+
+class TestCliProperty:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_any_flags_give_a_coded_exit_and_strict_json(
+        self, tmp_path_factory, data
+    ):
+        directory = tmp_path_factory.mktemp("cli")
+        argv = data.draw(cli_argv(directory))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert code in (EXIT_OK, EXIT_DATA, EXIT_FIT, EXIT_USAGE)
+        if code == EXIT_OK:
+            if "json" in argv:
+                strict_json(out.getvalue())
+        else:
+            lines = err.getvalue().splitlines()
+            coded = [
+                line for line in lines
+                if line.split(":")[0] in ("DATA_ERROR", "FIT_ERROR", "USAGE_ERROR")
+            ]
+            assert coded == lines[-1:]

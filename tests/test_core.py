@@ -181,6 +181,14 @@ class TestClassifyWithTest:
         assert cls.grade == 1
         assert cls.warnings
 
+    def test_negative_b_warning_names_the_grade_given(self):
+        # the test cannot reject B = 1 here, so B = -0.5 is graded 2
+        cls = classify_with_test(-0.5, 1.0, 10)
+        assert cls.grade == 2
+        assert len(cls.warnings) == 1
+        assert "grade 2" in cls.warnings[0]
+        assert "grade 1" not in cls.warnings[0]
+
 
 class TestPredictionLabel:
     def test_fixed_strings(self):

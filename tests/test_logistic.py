@@ -195,6 +195,23 @@ class TestDerivePowerLaw:
         law = derive_power_law(host, parasite)
         np.testing.assert_allclose(law.c1, math.exp(0.05 * (80.0 - 120.0)))
 
+    @pytest.mark.parametrize(
+        "host_k, parasite_a, parasite_b, constant",
+        [
+            (100.0, 1740.0, 0.087, "c1 overflows"),  # t2 = 20000
+            (100.0, -1740.0, 0.087, "c1 underflows to 0"),  # t2 = -20000
+            (100.0, 1000.0, 8.7, "a underflows to 0"),  # B = 174
+            (1e-300, -1000.0, 0.087, "a overflows"),  # c1*K1 underflows
+        ],
+    )
+    def test_out_of_range_constant_is_invalid_input(
+        self, host_k, parasite_a, parasite_b, constant
+    ):
+        host = LogisticParams(k=host_k, a=6.0, b=0.05)
+        parasite = LogisticParams(k=50.0, a=parasite_a, b=parasite_b)
+        with pytest.raises(InvalidInputError, match=f"constant {constant}"):
+            derive_power_law(host, parasite)
+
     def test_against_numeric_elimination_oracle(self, rng):
         for _ in range(25):
             b1 = float(rng.uniform(0.02, 0.5))
