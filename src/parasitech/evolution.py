@@ -97,7 +97,7 @@ class Trajectory:
 class AnalysisReport:
     fits: tuple[EvolutionFit, ...]
     multi_fits: tuple[MultiEvolutionFit, ...]
-    correlations: CorrelationMatrix | None
+    correlations: CorrelationMatrix
     descriptives: tuple[tuple[str, DescriptiveStats], ...]
     standardized_trajectories: tuple[Trajectory, ...]
     provenance: Provenance
@@ -246,7 +246,6 @@ def build_report(
     *,
     multi: bool = False,
     alpha: float = 0.05,
-    include_correlations: bool = True,
     source_files: Sequence[str] = (),
     options: Mapping[str, object] | None = None,
     timestamp: str | None = None,
@@ -278,9 +277,7 @@ def build_report(
         fits = tuple(fit_evolution(host, p, alpha=alpha) for p in parasites)
 
     all_series = [host, *parasites]
-    correlations = None
-    if include_correlations and len(all_series) >= 2:
-        correlations = correlation_matrix(all_series)
+    correlations = correlation_matrix(all_series)
 
     descriptives = tuple(
         (s.name, statkit.descriptive(s.log_values())) for s in all_series
@@ -300,7 +297,8 @@ def build_report(
         )
 
     opts = dict(options or {})
-    opts.setdefault("alpha", alpha)
+    if not multi:
+        opts.setdefault("alpha", alpha)
     opts.setdefault("mode", "multi" if multi else "pairwise")
     provenance = Provenance(
         inputs=tuple(source_files),

@@ -229,9 +229,7 @@ def _multi_fit_dict(fit: MultiEvolutionFit) -> dict:
     }
 
 
-def _correlations_dict(corr: CorrelationMatrix | None) -> dict | None:
-    if corr is None:
-        return None
+def _correlations_dict(corr: CorrelationMatrix) -> dict:
     return {
         "names": list(corr.names),
         "entries": [
@@ -417,9 +415,8 @@ def render_report(report: AnalysisReport, fmt: ReportFormat | str) -> bytes:
     for fit in report.multi_fits:
         lines += _text_multi_block(fit)
         lines.append("")
-    if report.correlations is not None and report.correlations.names:
-        lines += _text_correlations(report.correlations)
-        lines.append("")
+    lines += _text_correlations(report.correlations)
+    lines.append("")
     if report.descriptives:
         lines.append("Descriptive statistics (log scale):")
         lines.append(

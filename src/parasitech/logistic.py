@@ -130,11 +130,6 @@ def logit_transform(series: TechSeries, k: float):
     return series.times, np.log((k - values) / values)
 
 
-def _logit_fit(series: TechSeries, k: float) -> statkit.RegressionResult:
-    times, logits = logit_transform(series, k)
-    return statkit.ols_simple(times, logits)
-
-
 def fit_logistic(series: TechSeries, k_max_factor: float = 10.0) -> LogisticFitReport:
     """Fit (K, a, b) to a series via its logit linearization.
 
@@ -162,7 +157,7 @@ def fit_logistic(series: TechSeries, k_max_factor: float = 10.0) -> LogisticFitR
     hi = vmax * k_max_factor
 
     def r2_at(k: float) -> float:
-        return _logit_fit(series, k).r2
+        return statkit.ols_simple(*logit_transform(series, k)).r2
 
     # Golden-section maximization of R^2(K). ~90 shrinks take the bracket
     # below float spacing; the objective is smooth and unimodal in practice.
@@ -183,7 +178,7 @@ def fit_logistic(series: TechSeries, k_max_factor: float = 10.0) -> LogisticFitR
             break
     k_best = 0.5 * (a_br + b_br)
 
-    fit = _logit_fit(series, k_best)
+    fit = statkit.ols_simple(*logit_transform(series, k_best))
     intercept, slope = fit.coefficients
     if slope >= 0.0:
         raise FitFailureError(

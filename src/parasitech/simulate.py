@@ -112,17 +112,24 @@ def simulate_series(
         raise InvalidInputError("grid must be a non-empty 1-d sequence")
     if np.any(np.diff(t) <= 0):
         raise InvalidInputError("grid times must be strictly increasing")
-    if noise_sigma < 0:
-        raise InvalidInputError("noise_sigma must be nonnegative")
+    if not noise_sigma >= 0:  # NaN too
+        raise InvalidInputError(f"noise_sigma must be nonnegative, got {noise_sigma!r}")
     if not (0.0 <= missing_prob < 1.0):
         raise InvalidInputError("missing_prob must lie in [0, 1)")
 
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(t.size)
     values = logistic_value(params, t)
-    if noise_sigma > 0:
-        values = values * np.exp(noise_sigma * z)
     keep = rng.random(t.size) >= missing_prob
+    if noise_sigma > 0:
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            noisy = values * np.exp(noise_sigma * z)
+        if np.any(keep & (values > 0) & ~((noisy > 0) & (noisy < math.inf))):
+            raise InvalidInputError(
+                f"noise_sigma={noise_sigma!r} is too large: lognormal noise "
+                f"drives a value of series {name!r} out of the positive floats"
+            )
+        values = noisy
     return TechSeries.from_columns(name, role, units, t[keep], values[keep])
 
 

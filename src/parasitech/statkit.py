@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import betainc
+from scipy.special import betainc, stdtrit
 
 from .errors import (
     CollinearityError,
@@ -49,7 +49,6 @@ class RegressionResult:
     residual_se: float
     n: int
     k: int
-    residuals: tuple[float, ...]
     perfect_fit: bool = False
 
 
@@ -123,24 +122,13 @@ def f_sf(f: float, df1: int, df2: int) -> float:
 def t_critical(alpha: float, df: int) -> float:
     """Two-sided critical value: the t >= 0 with student_t_sf(t, df) = alpha.
 
-    Solved by bisection on the monotone tail function; good to ~1e-12.
+    Negated lower-tail quantile at alpha/2 (no cancellation in 1 - alpha/2).
     """
     if not (0.0 < alpha < 1.0):
         raise InvalidInputError(f"alpha must lie in (0, 1), got {alpha!r}")
     if df < 1:
         raise InvalidInputError(f"degrees of freedom must be >= 1, got {df}")
-    lo, hi = 0.0, 1.0
-    while student_t_sf(hi, df) > alpha:
-        hi *= 2.0
-        if hi > 1e12:  # alpha astronomically small; tail underflows first
-            break
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if student_t_sf(mid, df) > alpha:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(-stdtrit(df, alpha / 2.0))
 
 
 def significance_stars(p: float) -> str:
@@ -186,6 +174,31 @@ def _f_overall(sst: float, sse: float, k: int, df_resid: int):
     return f, f_sf(f, k, df_resid)
 
 
+def _result(coef, se, std_coef, sse, sst, n, k) -> RegressionResult:
+    """The record of an OLS fit with k predictors: tail tests, R^2s, F test."""
+    df_resid = n - k - 1
+    s2 = sse / df_resid
+    r2 = 1.0 - sse / sst if sst > 0 else 0.0
+    r2_adj = 1.0 - (1.0 - r2) * (n - 1) / df_resid
+    t_stats, p_values = _tail_stats(coef, se, df_resid)
+    f_stat, f_p = _f_overall(sst, sse, k, df_resid)
+    return RegressionResult(
+        coefficients=tuple(float(c) for c in coef),
+        standard_errors=tuple(float(s) for s in se),
+        t_stats=tuple(float(t) for t in t_stats),
+        p_values=tuple(float(p) for p in p_values),
+        standardized_coefficients=tuple(std_coef),
+        r2=float(r2),
+        r2_adj=float(r2_adj),
+        f_stat=float(f_stat),
+        f_p=float(f_p),
+        residual_se=math.sqrt(s2),
+        n=int(n),
+        k=int(k),
+        perfect_fit=s2 == 0.0,
+    )
+
+
 def ols_simple(x: Sequence[float], y: Sequence[float]) -> RegressionResult:
     """Simple OLS of y on x with an intercept.
 
@@ -215,41 +228,17 @@ def ols_simple(x: Sequence[float], y: Sequence[float]) -> RegressionResult:
     residuals = y - (intercept + slope * x)
     sse = float(residuals @ residuals)
     sst = float(dy @ dy)
-    df_resid = n - 2
-    s2 = sse / df_resid
-    perfect = s2 == 0.0
-
+    s2 = sse / (n - 2)
     se_slope = math.sqrt(s2 / sxx)
     se_intercept = math.sqrt(s2 * (1.0 / n + x_mean**2 / sxx))
-
-    r2 = 1.0 - sse / sst if sst > 0 else 0.0
-    r2_adj = 1.0 - (1.0 - r2) * (n - 1) / df_resid
-
-    coef = np.array([intercept, slope])
-    se = np.array([se_intercept, se_slope])
-    t_stats, p_values = _tail_stats(coef, se, df_resid)
-    f_stat, f_p = _f_overall(sst, sse, 1, df_resid)
 
     sd_x = math.sqrt(sxx / (n - 1))
     sd_y = math.sqrt(sst / (n - 1))
     std_slope = slope * sd_x / sd_y if sd_y > 0 else math.nan
 
-    return RegressionResult(
-        coefficients=tuple(float(c) for c in coef),
-        standard_errors=tuple(float(s) for s in se),
-        t_stats=tuple(float(t) for t in t_stats),
-        p_values=tuple(float(p) for p in p_values),
-        standardized_coefficients=(math.nan, std_slope),
-        r2=float(r2),
-        r2_adj=float(r2_adj),
-        f_stat=float(f_stat),
-        f_p=float(f_p),
-        residual_se=math.sqrt(s2),
-        n=int(n),
-        k=1,
-        residuals=tuple(float(r) for r in residuals),
-        perfect_fit=perfect,
-    )
+    coef = np.array([intercept, slope])
+    se = np.array([se_intercept, se_slope])
+    return _result(coef, se, (math.nan, std_slope), sse, sst, n, 1)
 
 
 def ols_multi(
@@ -288,18 +277,9 @@ def ols_multi(
     sse = float(residuals @ residuals)
     dy = y - y.mean()
     sst = float(dy @ dy)
-    df_resid = n - k - 1
-    s2 = sse / df_resid
-    perfect = s2 == 0.0
-
+    s2 = sse / (n - k - 1)
     gram_inv = np.linalg.inv(design.T @ design)
     se = np.sqrt(np.maximum(s2 * np.diag(gram_inv), 0.0))
-
-    r2 = 1.0 - sse / sst if sst > 0 else 0.0
-    r2_adj = 1.0 - (1.0 - r2) * (n - 1) / df_resid
-
-    t_stats, p_values = _tail_stats(coef, se, df_resid)
-    f_stat, f_p = _f_overall(sst, sse, k, df_resid)
 
     sd_y = math.sqrt(sst / (n - 1))
     std_coef = [math.nan]
@@ -307,22 +287,7 @@ def ols_multi(
         sd_xj = float(np.std(X[:, j], ddof=1))
         std_coef.append(coef[j + 1] * sd_xj / sd_y if sd_y > 0 else math.nan)
 
-    return RegressionResult(
-        coefficients=tuple(float(c) for c in coef),
-        standard_errors=tuple(float(s) for s in se),
-        t_stats=tuple(float(t) for t in t_stats),
-        p_values=tuple(float(p) for p in p_values),
-        standardized_coefficients=tuple(std_coef),
-        r2=float(r2),
-        r2_adj=float(r2_adj),
-        f_stat=float(f_stat),
-        f_p=float(f_p),
-        residual_se=math.sqrt(s2),
-        n=int(n),
-        k=int(k),
-        residuals=tuple(float(r) for r in residuals),
-        perfect_fit=perfect,
-    )
+    return _result(coef, se, std_coef, sse, sst, n, k)
 
 
 def descriptive(values: Sequence[float]) -> DescriptiveStats:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -430,6 +431,24 @@ class TestSimulateAndRecover:
             "--out-prefix", str(tmp_path / "flag"),
         )
         assert (tmp_path / "flag_host.csv").read_text() == b
+
+    @pytest.mark.parametrize("noise", ["1e300", "800"])
+    def test_noise_overflow_is_one_data_error_line(self, capsys, tmp_path, noise):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys,
+                "simulate",
+                "--k1", "100", "--b1", "0.05", "--t1", "120",
+                "--k2", "50", "--b2", "0.087", "--t2", "80",
+                "--t-start", "0", "--t-end", "43", "--n", "44",
+                "--noise", noise, "--seed", "7",
+                "--out-prefix", str(tmp_path / "sim"),
+            )
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err.startswith("DATA_ERROR:") and err.count("\n") == 1
+        assert "noise" in err
 
     def test_recover(self, capsys, tmp_path):
         path = tmp_path / "sim.json"

@@ -349,6 +349,19 @@ class TestBuildReport:
         assert fit.predictor_names[0] == "cpu"
         assert len(fit.predictor_names) == 6
 
+    def test_only_pairwise_options_record_alpha(self, rng):
+        # the multidimensional fit runs no test of B = 1, so no test level
+        t = np.arange(2008, 2019)
+        h = make_series("cpu", t, np.exp(rng.uniform(0, 1, t.size)), role="host")
+        parasites = [
+            make_series(f"part{j}", t, np.exp(rng.uniform(0, 2, t.size)))
+            for j in range(3)
+        ]
+        multi = dict(build_report(h, parasites, multi=True).provenance.options)
+        pairwise = dict(build_report(h, parasites).provenance.options)
+        assert multi == {"mode": "'multi'"}
+        assert pairwise == {"alpha": "0.05", "mode": "'pairwise'"}
+
     def test_multi_needs_sibling(self, host):
         parasite = power_series(host, 2.0, 1.5)
         with pytest.raises(InvalidInputError):

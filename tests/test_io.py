@@ -148,17 +148,6 @@ class TestRenderReportText:
         text = render_report(report, "text").decode("utf-8")
         assert "timestamp" not in text.lower()
 
-    def test_correlation_section_omitted_when_absent(self, rng):
-        t = np.arange(1950, 1994)
-        host = make_series("h", t, np.exp(rng.uniform(0, 2, t.size)), role="host")
-        parasite = make_series("p", t, 2.0 * host.values**1.2)
-        r = build_report(host, [parasite], include_correlations=False)
-        text = render_report(r, "text").decode("utf-8")
-        assert "Correlations" not in text
-        payload = json.loads(render_report(r, "json"))
-        assert "correlations" in payload  # key present, value null
-        assert payload["correlations"] is None
-
 
 class TestRenderReportJson:
     def test_deterministic_bytes(self, report):

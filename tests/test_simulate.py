@@ -98,6 +98,12 @@ class TestSimulateSeries:
         with pytest.raises(InvalidInputError):
             simulate_series(HOST_LAW, [1.0, 1.0, 2.0], seed=1)
 
+    @pytest.mark.parametrize("sigma", [-0.1, math.nan, 800.0])
+    def test_bad_noise_sigma_is_named(self, sigma):
+        # NaN used to give the noise-free series; 800 overflows exp
+        with pytest.raises(InvalidInputError, match="noise_sigma"):
+            simulate_series(HOST_LAW, np.linspace(0, 40, 20), sigma, seed=1)
+
 
 class TestSimulatePair:
     def test_noiseless_early_phase_recovers_ratio(self):

@@ -82,12 +82,13 @@ class TestOlsSimple:
             np.testing.assert_allclose(r.r2, rho * rho, rtol=0, atol=1e-10)
 
     def test_fit_plus_residuals_reconstructs_y(self, rng):
+        # the normal equations: residuals sum to zero and are orthogonal to x
         x = rng.normal(size=25)
         y = 2 + x + rng.normal(size=25)
-        r = ols_simple(x, y)
-        fitted = r.coefficients[0] + r.coefficients[1] * x
-        np.testing.assert_allclose(fitted + np.array(r.residuals), y, atol=1e-9)
-        assert abs(sum(r.residuals)) < 1e-9 * len(y)
+        b0, b1 = ols_simple(x, y).coefficients
+        residuals = y - (b0 + b1 * x)
+        assert abs(residuals.sum()) < 1e-9 * len(y)
+        assert abs(residuals @ x) < 1e-9 * len(y)
 
     def test_f_is_t_squared(self, rng):
         for _ in range(10):
@@ -237,11 +238,50 @@ class TestFsf:
             f_sf(-0.5, 2, 10)
 
 
+# t_critical(alpha, df) as the 200-step bisection over student_t_sf gave it;
+# one row per df, one column per alpha.
+BISECTION_ALPHAS = (0.5, 0.1, 0.05, 0.01, 1e-3, 1e-6, 1e-10)
+BISECTION_T_CRITICAL = {
+    1: (1.0, 6.313751514675042, 12.706204736174705, 63.65674116287157,
+        636.6192487687194, 636619.7723670576, 6366197723.675812),
+    2: (0.8164965809277258, 2.9199855803537256, 4.302652729749463,
+        9.924843200918293, 31.59905457644362, 999.9992499998436,
+        99999.9999925),
+    3: (0.7648923284043454, 2.3533634348018238, 3.182446305283709,
+        5.840909309733359, 12.92397863668748, 130.15458955835794,
+        2804.293825339525),
+    5: (0.7266868438004224, 2.0150483733330242, 2.5705818356363155,
+        4.032142983555229, 6.868826625881111, 28.478473462984212,
+        180.14910084827108),
+    10: (0.6998120613124317, 1.8124611228116763, 2.228138851986274,
+         3.169272672616951, 4.586893858702634, 10.516489956914903,
+         27.318724874262543),
+    42: (0.6803760449373877, 1.6819523574675337, 2.018081702818445,
+         2.698066186219984, 3.5377454453274293, 5.720984413238689,
+         8.539986590234864),
+    100: (0.6769510430114742, 1.6602343260853396, 1.983971518523553,
+          2.6258905214380164, 3.390491311164231, 5.213727574230077,
+          7.22718705672853),
+    1000: (0.6747351646070199, 1.6463788172854819, 1.9623390808264065,
+           2.580754698065954, 3.3002826484239103, 4.92228952342958,
+           6.53682083004059),
+}
+
+
 class TestTCritical:
     def test_against_scipy(self):
         for alpha, df in [(0.05, 10), (0.05, 42), (0.01, 5), (0.1, 100)]:
             expected = scipy.stats.t.ppf(1 - alpha / 2, df)
             np.testing.assert_allclose(t_critical(alpha, df), expected, atol=1e-9)
+        for df, row in BISECTION_T_CRITICAL.items():
+            for alpha, expected in zip(BISECTION_ALPHAS, row):
+                np.testing.assert_allclose(t_critical(alpha, df), expected, rtol=1e-12)
+
+    def test_tiny_alpha_matches_cauchy_closed_form(self):
+        # df = 1 is the Cauchy distribution: t = 1 / tan(pi * alpha / 2)
+        alpha = 1e-15
+        expected = 1.0 / math.tan(math.pi * alpha / 2)
+        np.testing.assert_allclose(t_critical(alpha, 1), expected, rtol=1e-9)
 
     def test_round_trip(self):
         t = t_critical(0.05, 20)
