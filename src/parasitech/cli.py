@@ -34,7 +34,13 @@ from .io import (
     render_report,
     write_series_csv,
 )
-from .logistic import LogisticParams, fit_logistic, forecast_series
+from .logistic import (
+    K_SEARCH_RTOL,
+    LogisticParams,
+    fit_logistic,
+    forecast_series,
+    k_search_bracket,
+)
 from .simulate import SimConfig, monte_carlo_recovery, simulate_pair
 from .statkit import descriptive, zscore
 
@@ -275,13 +281,26 @@ def _cmd_fit_logistic(args) -> int:
         print(f"inflection t*:   {_num(p.inflection_time)}")
         print(f"R2 (logit fit):  {_num(fit.r2_logit)}")
         print(f"K at bound:      {fit.k_at_bound}")
-        if fit.k_at_bound:
-            print(
-                "WARNING: K pinned near the search bound; the data show no "
-                "saturation (consider a larger --k-max-factor)",
-                file=sys.stderr,
-            )
+    _warn_k_bound(series, fit, args.k_max_factor)
     return EXIT_OK
+
+
+def _warn_k_bound(series: TechSeries, fit, k_max_factor: float) -> None:
+    """A stderr warning when the K search ended on either end of its bracket."""
+    lo, hi = k_search_bracket(series, k_max_factor)
+    if fit.k_at_bound:
+        print(
+            "WARNING: K pinned near the upper search bound; the data show no "
+            "saturation (consider a larger --k-max-factor)",
+            file=sys.stderr,
+        )
+    elif fit.params.k - lo <= K_SEARCH_RTOL * hi:
+        print(
+            "WARNING: K pinned at the lower search bound, just above the "
+            "largest observed value; the logit fit does not locate the "
+            "equilibrium",
+            file=sys.stderr,
+        )
 
 
 def _cmd_forecast(args) -> int:
@@ -308,6 +327,7 @@ def _cmd_forecast(args) -> int:
     p = fit.params
     print(f"# logistic fit: K={_num(p.k)}, a={_num(p.a)}, b={_num(p.b)}")
     sys.stdout.write(_csv_text("t,value", *rows.T))
+    _warn_k_bound(series, fit, args.k_max_factor)
     return EXIT_OK
 
 

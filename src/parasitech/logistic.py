@@ -39,6 +39,9 @@ from .errors import (
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 
+# The K search stops when its bracket is this narrow, relative to its top.
+K_SEARCH_RTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class LogisticParams:
@@ -89,7 +92,9 @@ class LogisticFitReport:
 
     ``r2_logit`` is the R^2 of the straight-line fit in logit space at the
     selected K; ``k_at_bound`` flags an equilibrium estimate pinned against
-    the upper search bound (the data carry no saturation information).
+    the upper search bound (the data carry no saturation information). A K
+    within ``K_SEARCH_RTOL`` times the top of ``k_search_bracket`` of its
+    bottom sits on the lower bound, just above the largest value.
     """
 
     params: LogisticParams
@@ -130,6 +135,38 @@ def logit_transform(series: TechSeries, k: float):
     return series.times, np.log((k - values) / values)
 
 
+def k_search_bracket(series: TechSeries, k_max_factor: float) -> tuple[float, float]:
+    """The interval (max*(1+1e-6), max*k_max_factor) that the K search spans."""
+    if not (math.isfinite(k_max_factor) and k_max_factor > 1.0 + 1e-6):
+        raise InvalidInputError(
+            f"k_max_factor must exceed 1 + 1e-6, got {k_max_factor!r}"
+        )
+    vmax = float(series.values.max())
+    hi = vmax * k_max_factor
+    if hi == math.inf:
+        raise InvalidInputError(
+            f"k_max_factor {k_max_factor!r} times the largest value {vmax} "
+            "overflows"
+        )
+    return vmax * (1.0 + 1e-6), hi
+
+
+def _logit_r2(series: TechSeries):
+    """K -> ``ols_simple(*logit_transform(series, K)).r2`` for K in the
+    search bracket, with the sums over t formed once and only R^2 built."""
+    t, values = series.times, series.values
+    t_mean = t.mean()
+    dt = t - t_mean
+    stt = float(dt @ dt)
+
+    def r2_at(k: float) -> float:
+        y = np.log((k - values) / values)
+        _, _, sse, sst = statkit._line(t, y, t_mean, dt, stt)
+        return statkit._r2(sse, sst)
+
+    return r2_at
+
+
 def fit_logistic(series: TechSeries, k_max_factor: float = 10.0) -> LogisticFitReport:
     """Fit (K, a, b) to a series via its logit linearization.
 
@@ -147,17 +184,8 @@ def fit_logistic(series: TechSeries, k_max_factor: float = 10.0) -> LogisticFitR
         raise InsufficientDataError(
             f"series {series.name!r} is constant; no growth law to fit"
         )
-    if not (math.isfinite(k_max_factor) and k_max_factor > 1.0 + 1e-6):
-        raise InvalidInputError(
-            f"k_max_factor must exceed 1 + 1e-6, got {k_max_factor!r}"
-        )
-
-    vmax = float(values.max())
-    lo = vmax * (1.0 + 1e-6)
-    hi = vmax * k_max_factor
-
-    def r2_at(k: float) -> float:
-        return statkit.ols_simple(*logit_transform(series, k)).r2
+    lo, hi = k_search_bracket(series, k_max_factor)
+    r2_at = _logit_r2(series)
 
     # Golden-section maximization of R^2(K). ~90 shrinks take the bracket
     # below float spacing; the objective is smooth and unimodal in practice.
@@ -174,7 +202,7 @@ def fit_logistic(series: TechSeries, k_max_factor: float = 10.0) -> LogisticFitR
             a_br, c, fc = c, d, fd
             d = a_br + _INV_PHI * (b_br - a_br)
             fd = r2_at(d)
-        if b_br - a_br <= 1e-12 * hi:
+        if b_br - a_br <= K_SEARCH_RTOL * hi:
             break
     k_best = 0.5 * (a_br + b_br)
 

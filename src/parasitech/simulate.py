@@ -10,7 +10,8 @@ reproducible and replicates could be farmed out in parallel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -47,8 +48,17 @@ class SimConfig:
         if not self.parasites:
             raise InvalidInputError("config needs at least one parasite law")
         object.__setattr__(self, "parasites", tuple(self.parasites))
+        if not math.isfinite(self.t_end - self.t_start):  # NaN and inf too
+            raise InvalidInputError(
+                f"t_start {self.t_start!r} and t_end {self.t_end!r} must be "
+                "finite, and so must their difference"
+            )
         if not (self.t_start < self.t_end):
             raise InvalidInputError("t_start must be strictly below t_end")
+        n = self.n_points
+        if not (isinstance(n, numbers.Real) and float(n).is_integer()):
+            raise InvalidInputError(f"n_points must be an integer, got {n!r}")
+        object.__setattr__(self, "n_points", int(n))
         if self.n_points < 4:
             raise InvalidInputError(f"n_points must be >= 4, got {self.n_points}")
         if not (self.noise_sigma >= 0 and math.isfinite(self.noise_sigma)):
@@ -60,7 +70,14 @@ class SimConfig:
         object.__setattr__(self, "seed", int(self.seed))
 
     def grid(self) -> np.ndarray:
-        return np.linspace(self.t_start, self.t_end, self.n_points)
+        """The n_points evenly spaced times; they must be distinct floats."""
+        t = np.linspace(self.t_start, self.t_end, self.n_points)
+        if (np.diff(t) <= 0).any():
+            raise InvalidInputError(
+                f"{self.n_points} grid points from {self.t_start!r} to "
+                f"{self.t_end!r} are not distinct floats"
+            )
+        return t
 
 
 @dataclass(frozen=True)
@@ -117,10 +134,16 @@ def simulate_series(
     if not (0.0 <= missing_prob < 1.0):
         raise InvalidInputError("missing_prob must lie in [0, 1)")
 
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(t.size)
     values = logistic_value(params, t)
-    keep = rng.random(t.size) >= missing_prob
+    keep, values = _draw(values, noise_sigma, missing_prob, seed, name)
+    return TechSeries.from_columns(name, role, units, t[keep], values[keep])
+
+
+def _draw(values, noise_sigma, missing_prob, seed, name):
+    """The kept mask and the noisy values around the true ``values``."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(values.size)
+    keep = rng.random(values.size) >= missing_prob
     if noise_sigma > 0:
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             noisy = values * np.exp(noise_sigma * z)
@@ -130,7 +153,7 @@ def simulate_series(
                 f"drives a value of series {name!r} out of the positive floats"
             )
         values = noisy
-    return TechSeries.from_columns(name, role, units, t[keep], values[keep])
+    return keep, values
 
 
 def simulate_pair(config: SimConfig) -> tuple[TechSeries, tuple[TechSeries, ...]]:
@@ -181,10 +204,11 @@ def monte_carlo_recovery(
 ) -> RecoverySummary:
     """Repeatedly simulate and refit to measure recovery of B = b2/b1.
 
-    Each replicate re-derives its own seed, simulates a host/parasite pair,
-    optionally restricts both series to the early-phase window (both values
-    below ``EARLY_PHASE_FRACTION`` of their equilibria, judged on the true
-    laws), and fits the log-log evolution model. Replicate fit failures are
+    Each replicate re-derives its own seed, draws the host and the first
+    parasite as ``simulate_pair`` would (the other parasites are not drawn),
+    optionally keeps only the early-phase window (both values below
+    ``EARLY_PHASE_FRACTION`` of their equilibria, judged on the true laws),
+    and fits the log-log evolution model. Replicate fit failures are
     counted, not fatal; if every replicate fails the harness errors out.
 
     The power law only holds as a small-value approximation, so full-curve
@@ -195,9 +219,12 @@ def monte_carlo_recovery(
     target = config.parasites[0]
     true_b = target.b / config.host.b
 
-    t_cut = min(
-        early_phase_cutoff(config.host),
-        early_phase_cutoff(target),
+    grid = config.grid()
+    t_cut = min(early_phase_cutoff(config.host), early_phase_cutoff(target))
+    window = grid <= t_cut if early_phase_only else True
+    laws = (
+        ("host", "host", logistic_value(config.host, grid)),
+        ("parasite1", "parasite", logistic_value(target, grid)),
     )
 
     estimates: list[float] = []
@@ -205,18 +232,17 @@ def monte_carlo_recovery(
     usable_cis = 0
     failures = 0
     perfect = 0
+    sigma, p_missing = config.noise_sigma, config.missing_prob
     for r in range(replicates):
-        rep_config = replace(
-            config, seed=derive_seed(config.seed, _REPLICATE_STREAM, r)
-        )
+        rep_seed = derive_seed(config.seed, _REPLICATE_STREAM, r)
         try:
-            host, parasites = simulate_pair(rep_config)
-            if early_phase_only:
-                host = host.restrict(t_cut)
-                parasite = parasites[0].restrict(t_cut)
-            else:
-                parasite = parasites[0]
-            fit = fit_evolution(host, parasite)
+            pair = []
+            for i, (name, role, curve) in enumerate(laws):
+                seed = derive_seed(rep_seed, _SERIES_STREAM, i)
+                keep, values = _draw(curve, sigma, p_missing, seed, name)
+                keep &= window
+                pair.append(TechSeries(name, role, "fmt", grid[keep], values[keep]))
+            fit = fit_evolution(*pair)
         except ParasitechError:
             failures += 1
             continue

@@ -174,11 +174,26 @@ def _f_overall(sst: float, sse: float, k: int, df_resid: int):
     return f, f_sf(f, k, df_resid)
 
 
+def _line(x, y, x_mean, dx, sxx):
+    """Intercept, slope, SSE and SST of the least-squares line of y on x,
+    given x's mean, its deviations from it and their sum of squares."""
+    y_mean = y.mean()
+    dy = y - y_mean
+    slope = float(dx @ dy) / sxx
+    intercept = y_mean - slope * x_mean
+    residuals = y - (intercept + slope * x)
+    return intercept, slope, float(residuals @ residuals), float(dy @ dy)
+
+
+def _r2(sse: float, sst: float) -> float:
+    return 1.0 - sse / sst if sst > 0 else 0.0
+
+
 def _result(coef, se, std_coef, sse, sst, n, k) -> RegressionResult:
     """The record of an OLS fit with k predictors: tail tests, R^2s, F test."""
     df_resid = n - k - 1
     s2 = sse / df_resid
-    r2 = 1.0 - sse / sst if sst > 0 else 0.0
+    r2 = _r2(sse, sst)
     r2_adj = 1.0 - (1.0 - r2) * (n - 1) / df_resid
     t_stats, p_values = _tail_stats(coef, se, df_resid)
     f_stat, f_p = _f_overall(sst, sse, k, df_resid)
@@ -217,17 +232,9 @@ def ols_simple(x: Sequence[float], y: Sequence[float]) -> RegressionResult:
         raise SingularDesignError("x is constant; slope is not identified")
 
     x_mean = x.mean()
-    y_mean = y.mean()
     dx = x - x_mean
-    dy = y - y_mean
     sxx = float(dx @ dx)
-    sxy = float(dx @ dy)
-    slope = sxy / sxx
-    intercept = y_mean - slope * x_mean
-
-    residuals = y - (intercept + slope * x)
-    sse = float(residuals @ residuals)
-    sst = float(dy @ dy)
+    intercept, slope, sse, sst = _line(x, y, x_mean, dx, sxx)
     s2 = sse / (n - 2)
     se_slope = math.sqrt(s2 / sxx)
     se_intercept = math.sqrt(s2 * (1.0 / n + x_mean**2 / sxx))

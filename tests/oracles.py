@@ -3,9 +3,11 @@
 Each oracle takes a deliberately different route from the code under test:
 textbook sum formulas for simple regression, explicit normal equations for
 multiple regression, quadrature of the density for distribution tails, and
-a log-log straight-line fit of exactly generated curves for the power law.
+a log-log straight-line fit of exactly generated curves for the power law,
+and the Monte Carlo recovery loop by way of whole simulated configs.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -155,3 +157,55 @@ def power_law_loglog_fit(host_kab, parasite_kab, n_points: int = 200) -> tuple:
     log_p = np.log(logistic_exact(k2, a2, b2, t))
     slope, intercept = np.polyfit(log_h, log_p, 1)
     return float(slope), float(intercept)
+
+
+def recovery_reference(config, replicates: int, early_phase_only: bool = True):
+    """Monte Carlo recovery the long way round: every replicate simulates the
+    whole config with ``simulate_pair`` (siblings included), restricts both
+    series to the early-phase window with ``TechSeries.restrict`` and refits.
+    """
+    from parasitech import (
+        HarnessError,
+        ParasitechError,
+        RecoverySummary,
+        fit_evolution,
+        simulate_pair,
+        t_critical,
+    )
+    from parasitech.simulate import _REPLICATE_STREAM, derive_seed, early_phase_cutoff
+
+    target = config.parasites[0]
+    true_b = target.b / config.host.b
+    t_cut = min(early_phase_cutoff(config.host), early_phase_cutoff(target))
+    estimates, covered, usable, failures, perfect = [], 0, 0, 0, 0
+    for r in range(replicates):
+        seed = derive_seed(config.seed, _REPLICATE_STREAM, r)
+        try:
+            host, parasites = simulate_pair(dataclasses.replace(config, seed=seed))
+            parasite = parasites[0]
+            if early_phase_only:
+                host, parasite = host.restrict(t_cut), parasite.restrict(t_cut)
+            fit = fit_evolution(host, parasite)
+        except ParasitechError:
+            failures += 1
+            continue
+        estimates.append(fit.b)
+        se = fit.regression.standard_errors[1]
+        if se > 0:
+            usable += 1
+            covered += abs(fit.b - true_b) <= t_critical(0.05, fit.n_paired - 2) * se
+        else:
+            perfect += 1
+    if not estimates:
+        raise HarnessError(f"all {replicates} replicates failed to fit")
+    est = np.sort(np.array(estimates))
+    return RecoverySummary(
+        replicates=replicates,
+        true_b=float(true_b),
+        estimates=tuple(float(e) for e in est),
+        bias=float(est.mean() - true_b),
+        rmse=float(math.sqrt(np.mean((est - true_b) ** 2))),
+        coverage_95=float(covered / usable if usable else math.nan),
+        failures=failures,
+        perfect_fits=perfect,
+    )

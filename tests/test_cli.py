@@ -310,6 +310,60 @@ class TestFitLogisticCommand:
         assert code == EXIT_DATA
 
 
+class TestKBoundWarnings:
+    # K search ends on the lower bound, just above max(v) (R^2 0.71)
+    SATURATED = ([0, 1, 2, 3, 4], [6.0, 2.0, 9.0, 9.0, 9.0])
+    # no saturation at all: K ends on the upper bound
+    EXPONENTIAL = (np.linspace(1, 10, 10), np.exp(0.2 * np.linspace(1, 10, 10)))
+    LOWER = "WARNING: K pinned at the lower search bound"
+    UPPER = "WARNING: K pinned near the upper search bound"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "data, warning", [(SATURATED, LOWER), (EXPONENTIAL, UPPER)]
+    )
+    def test_fit_logistic_warns_on_either_bound(
+        self, capsys, tmp_path, fmt, data, warning
+    ):
+        path = write_series(tmp_path, "s.csv", *data)
+        code, out, err = run_cli(
+            capsys, "fit-logistic", "--input", str(path), "--format", fmt
+        )
+        assert code == EXIT_OK
+        assert err.startswith(warning) and err.count("\n") == 1
+        assert "WARNING" not in out
+        if fmt == "json":
+            assert list(strict_json(out)) == [
+                "series", "k", "a", "b", "inflection_time", "r2_logit",
+                "k_at_bound", "n",
+            ]
+
+    @pytest.mark.parametrize(
+        "data, warning", [(SATURATED, LOWER), (EXPONENTIAL, UPPER)]
+    )
+    def test_forecast_warns_on_either_bound(self, capsys, tmp_path, data, warning):
+        path = write_series(tmp_path, "s.csv", *data)
+        code, out, err = run_cli(
+            capsys, "forecast", "--input", str(path), "--to", "12"
+        )
+        assert code == EXIT_OK
+        assert err.startswith(warning) and err.count("\n") == 1
+        assert out.startswith("# logistic fit: K=") and "WARNING" not in out
+
+    @pytest.mark.parametrize("command", ["fit-logistic", "forecast"])
+    def test_interior_k_is_silent(self, capsys, tmp_path, command):
+        t = np.linspace(0, 40, 20)
+        path = write_series(
+            tmp_path, "s.csv", t, 100.0 / (1.0 + np.exp(5.0 - 0.25 * t))
+        )
+        argv = [command, "--input", str(path)]
+        if command == "forecast":
+            argv += ["--to", "60"]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert err == ""
+
+
 class TestCorrelateCommand:
     def test_matrix(self, capsys, tmp_path, rng):
         t = np.arange(2000, 2016)
@@ -449,6 +503,41 @@ class TestSimulateAndRecover:
         assert out == ""
         assert err.startswith("DATA_ERROR:") and err.count("\n") == 1
         assert "noise" in err
+
+    @pytest.mark.parametrize("t_start, t_end", [("0", "inf"), ("-1e308", "1e308")])
+    def test_unusable_grid_is_one_data_error_line(
+        self, capsys, tmp_path, t_start, t_end
+    ):
+        # refused before numpy can warn while building a grid from these bounds
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys,
+                "simulate",
+                "--k1", "100", "--b1", "0.05", "--t1", "120",
+                "--k2", "50", "--b2", "0.087", "--t2", "80",
+                f"--t-start={t_start}", f"--t-end={t_end}", "--n", "44",
+                "--out-prefix", str(tmp_path / "sim"),
+            )
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err.startswith("DATA_ERROR:") and err.count("\n") == 1
+
+    def test_recover_infinite_t_end_is_one_data_error_line(self, capsys, tmp_path):
+        # 1e400 parses as inf: a data error, not a fit failure of every
+        # replicate
+        path = tmp_path / "sim.json"
+        text = json.dumps(RECOVER_CONFIG).replace('"t_end": 43.0', '"t_end": 1e400')
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "recover", "--config", str(path), "--replicates", "3"
+            )
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err.startswith("DATA_ERROR:") and err.count("\n") == 1
+        assert "t_end" in err
 
     def test_recover(self, capsys, tmp_path):
         path = tmp_path / "sim.json"

@@ -15,7 +15,9 @@ from parasitech import (
     forecast_series,
     logistic_value,
     logit_transform,
+    ols_simple,
 )
+from parasitech.logistic import K_SEARCH_RTOL, _logit_r2, k_search_bracket
 from oracles import logistic_exact, power_law_loglog_fit
 
 
@@ -174,6 +176,43 @@ class TestFitLogistic:
         s = TechSeries.from_columns("s", "host", "", [0, 1, 2, 3], [1.0, 2, 3, 4])
         with pytest.raises(InvalidInputError):
             fit_logistic(s, k_max_factor=1.0)
+
+
+class TestKSearch:
+    def test_probe_r2_is_the_final_fits_r2(self):
+        # the search scores K without building a RegressionResult; its R^2
+        # must equal ols_simple's to the bit, or the search could pick
+        # another K than the final fit reports
+        rng = np.random.default_rng(61)
+        for _ in range(60):
+            n = int(rng.integers(4, 50))
+            t = np.sort(rng.choice(np.arange(200.0), n, replace=False))
+            b = rng.uniform(0.02, 0.5)
+            law = LogisticParams(k=rng.uniform(1, 1e3), a=b * rng.uniform(0, 200), b=b)
+            noise = np.exp(rng.normal(0.0, rng.choice([0.0, 0.05, 0.3]), n))
+            s = TechSeries("s", "parasite", "", t, logistic_value(law, t) * noise)
+            lo, hi = k_search_bracket(s, 10.0)
+            r2_at = _logit_r2(s)
+            near_lo = lo * (1 + 10.0 ** -rng.uniform(1, 12, 5))
+            for k in [lo, hi, *rng.uniform(lo, hi, 5), *near_lo]:
+                assert r2_at(float(k)) == ols_simple(*logit_transform(s, k)).r2
+
+    def test_bracket(self):
+        s = TechSeries("s", "host", "", [0, 1, 2, 3], [1.0, 2.0, 3.0, 4.0])
+        assert k_search_bracket(s, 10.0) == (4.0 * (1 + 1e-6), 40.0)
+        with pytest.raises(InvalidInputError, match="k_max_factor"):
+            k_search_bracket(s, 1.0)
+        with pytest.raises(InvalidInputError, match="overflows"):
+            k_search_bracket(s, 1e308)
+
+    def test_lower_bound_k_is_not_flagged_but_detectable(self):
+        # a noisy, saturated series: R^2 grows as K falls to max(v), so the
+        # search ends on its lower bound, which k_at_bound does not report
+        s = TechSeries("sat", "host", "", [0, 1, 2, 3, 4], [6.0, 2.0, 9.0, 9.0, 9.0])
+        report = fit_logistic(s)
+        lo, hi = k_search_bracket(s, 10.0)
+        assert not report.k_at_bound
+        assert 0 < report.params.k - lo <= K_SEARCH_RTOL * hi
 
 
 class TestDerivePowerLaw:

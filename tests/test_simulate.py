@@ -15,10 +15,12 @@ from parasitech import (
     simulate_series,
 )
 from parasitech.simulate import derive_seed, early_phase_cutoff
+from oracles import recovery_reference
 
 
 HOST_LAW = LogisticParams(k=100.0, a=6.0, b=0.05)  # inflection at t=120
 PARASITE_LAW = LogisticParams(k=50.0, a=6.96, b=0.087)  # inflection at t=80
+SIBLING_LAW = LogisticParams(k=70.0, a=7.5, b=0.07)
 
 
 def early_config(**overrides):
@@ -58,6 +60,37 @@ class TestSimConfig:
         assert grid.size == 44
         assert grid[0] == 0.0
         assert grid[-1] == 43.0
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(t_start=-math.inf),
+            dict(t_end=math.inf),
+            dict(t_start=math.nan),
+            dict(t_end=math.nan),
+            dict(t_start=-1e308, t_end=1e308),  # the span overflows
+            dict(n_points=44.5),
+            dict(n_points="44"),
+        ],
+    )
+    def test_unusable_grid_is_refused_up_front(self, overrides):
+        # no grid can be built from these: refused before numpy warns, raises
+        # a TypeError, or fails every replicate
+        with pytest.raises(InvalidInputError):
+            early_config(**overrides)
+
+    def test_integral_n_points_becomes_an_int(self):
+        for n in (44.0, np.int64(44)):
+            config = early_config(n_points=n)
+            assert type(config.n_points) is int and config.grid().size == 44
+
+    def test_indistinct_grid_points_are_refused(self):
+        # 44 points 8 apart at 1e16, where floats are 2 apart, collide
+        config = early_config(t_start=1e16, t_end=1e16 + 8.0)
+        for call in (config.grid, lambda: simulate_pair(config),
+                     lambda: monte_carlo_recovery(config, replicates=3)):
+            with pytest.raises(InvalidInputError, match="distinct"):
+                call()
 
 
 class TestSimulateSeries:
@@ -241,6 +274,38 @@ class TestMonteCarloRecovery:
         summary = monte_carlo_recovery(config, replicates=40)
         assert summary.failures > 0
         assert len(summary.estimates) == 40 - summary.failures
+
+    @pytest.mark.parametrize("early_phase_only", [True, False])
+    @pytest.mark.parametrize("missing_prob", [0.0, 0.1])
+    def test_equals_the_whole_config_reference(self, early_phase_only, missing_prob):
+        config = early_config(
+            parasites=(PARASITE_LAW, SIBLING_LAW),
+            noise_sigma=0.03,
+            missing_prob=missing_prob,
+            seed=41,
+        )
+        summary = monte_carlo_recovery(config, 30, early_phase_only)
+        assert summary == recovery_reference(config, 30, early_phase_only)
+
+    def test_failing_scenario_equals_the_reference(self):
+        config = early_config(n_points=5, missing_prob=0.6, seed=3)
+        summary = monte_carlo_recovery(config, replicates=40)
+        assert summary.failures > 0
+        assert summary == recovery_reference(config, 40)
+
+    def test_unused_sibling_is_not_drawn(self):
+        # a sibling at the top of the float range overflows under any upward
+        # noise, so simulate_pair refuses the config; recovery never draws
+        # the sibling, so none of its replicates fails for it
+        huge = LogisticParams(k=1.79e308, a=-50.0, b=0.05)
+        config = early_config(parasites=(PARASITE_LAW, huge), noise_sigma=0.03)
+        with pytest.raises(InvalidInputError, match="noise_sigma"):
+            simulate_pair(config)
+        with pytest.raises(HarnessError):
+            recovery_reference(config, 5)
+        summary = monte_carlo_recovery(config, 5)
+        assert summary.failures == 0
+        assert summary == monte_carlo_recovery(early_config(noise_sigma=0.03), 5)
 
     def test_replicates_validated(self):
         with pytest.raises(InvalidInputError):
