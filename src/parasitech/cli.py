@@ -27,6 +27,7 @@ from .io import (
     _correlations_dict,
     _csv_text,
     _descriptive_dict,
+    _json_text,
     _num,
     _text_correlations,
     emit_plot_data,
@@ -35,7 +36,6 @@ from .io import (
     write_series_csv,
 )
 from .logistic import (
-    K_SEARCH_RTOL,
     LogisticParams,
     fit_logistic,
     forecast_series,
@@ -230,7 +230,7 @@ def _load(paths, aggregator: str = "mean", host: bool = False) -> list[TechSerie
 
 
 def _print_json(payload) -> None:
-    print(json.dumps(payload, indent=2, allow_nan=False))
+    print(_json_text(payload))
 
 
 def _cmd_evolve(args) -> int:
@@ -288,13 +288,13 @@ def _cmd_fit_logistic(args) -> int:
 def _warn_k_bound(series: TechSeries, fit, k_max_factor: float) -> None:
     """A stderr warning when the K search ended on either end of its bracket."""
     lo, hi = k_search_bracket(series, k_max_factor)
-    if fit.k_at_bound:
+    if fit.k_at_bound and fit.params.k - lo > hi - fit.params.k:
         print(
             "WARNING: K pinned near the upper search bound; the data show no "
             "saturation (consider a larger --k-max-factor)",
             file=sys.stderr,
         )
-    elif fit.params.k - lo <= K_SEARCH_RTOL * hi:
+    elif fit.k_at_bound:
         print(
             "WARNING: K pinned at the lower search bound, just above the "
             "largest observed value; the logit fit does not locate the "

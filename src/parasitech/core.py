@@ -130,17 +130,6 @@ class TechSeries:
             self.name, self.role, self.units, self._times, self._values * factor
         )
 
-    def restrict(self, t_max: float) -> "TechSeries":
-        """Return the sub-series with observation times <= ``t_max``."""
-        k = int(np.searchsorted(self._times, t_max, side="right"))
-        if k == 0 or math.isnan(t_max):
-            raise InsufficientDataError(
-                f"series {self.name!r}: no observations at or before t={t_max}"
-            )
-        return TechSeries(
-            self.name, self.role, self.units, self._times[:k], self._values[:k]
-        )
-
 
 @dataclass(frozen=True)
 class BTest:

@@ -292,7 +292,7 @@ def build_report(
             Trajectory(
                 name=s.name,
                 years=tuple(s.times.tolist()),
-                z=tuple(float(v) for v in z),
+                z=tuple(z.tolist()),
             )
         )
 

@@ -72,7 +72,8 @@ def parse_series_csv(
     text = path.read_text(encoding="utf-8-sig")
 
     warnings: list[str] = []
-    rows: list[tuple[float, float, int]] = []
+    by_t: dict[float, float] = {}
+    duplicated: dict[float, list[float]] = {}
     header_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -108,27 +109,29 @@ def parse_series_csv(
                 "(log scale requires positive values)"
             )
             continue
-        rows.append((t, v, lineno))
+        first = by_t.get(t)
+        if first is None:
+            by_t[t] = v
+        else:
+            duplicated.setdefault(t, [first]).append(v)
     if not header_seen:
         raise SeriesFormatError(f"{path}: missing 't,value' header")
-    if not rows:
+    if not by_t:
         raise EmptySeriesError(f"{path}: no valid observations")
 
-    by_t: dict[float, list[float]] = {}
-    for t, v, _ in rows:
-        by_t.setdefault(t, []).append(v)
+    # one row is its own mean, median and max: only duplicates are aggregated;
+    # the warning names the first row's t (0.0 and -0.0 are one year)
     times = sorted(by_t)
-    values = []
     for t in times:
-        group = by_t[t]
-        if len(group) > 1:
+        group = duplicated.get(t)
+        if group is not None:
             warnings.append(
                 f"{len(group)} rows share t={t!r}; aggregated by {aggregator}"
             )
-        values.append(float(agg(group)))
-
+            by_t[t] = float(agg(group))
     series = TechSeries.from_columns(
-        name if name is not None else path.stem, role, units, times, values
+        name if name is not None else path.stem, role, units, times,
+        [by_t[t] for t in times],
     )
     return SeriesFile(path=str(path), parsed=series, warnings=tuple(warnings))
 
@@ -279,6 +282,35 @@ def report_to_dict(report: AnalysisReport) -> dict:
     }
 
 
+# json.dumps(x, allow_nan=False) without building an encoder per call
+_encode = json.JSONEncoder(allow_nan=False).encode
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj, nl: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, allow_nan=False)``, byte for byte, with
+    each list of floats written by one C-encoder call (the stdlib indents in
+    pure Python). ``nl`` is the newline and indent of ``obj``'s line."""
+    inner = nl + "  "
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, dict) and obj:
+        items = (
+            # a one-item dict gives the stdlib's key coercion and its errors
+            (_quote(k) if isinstance(k, str) else _encode({k: 0})[1:-4])
+            + ": " + _json_text(v, inner)
+            for k, v in obj.items()
+        )
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        if {*map(type, obj)} == {float}:  # the C call refuses NaN and +-inf
+            body = _encode(obj)[1:-1].replace(", ", "," + inner)
+        else:
+            body = ("," + inner).join(_json_text(v, inner) for v in obj)
+        return "[" + inner + body + nl + "]"
+    return _encode(obj)  # scalars and empty containers
+
+
 def _fmt(x: float, digits: int = 2) -> str:
     return "nan" if not math.isfinite(x) else f"{x:.{digits}f}"
 
@@ -383,8 +415,7 @@ def render_report(report: AnalysisReport, fmt: ReportFormat | str) -> bytes:
         ) from None
 
     if fmt is ReportFormat.JSON:
-        payload = json.dumps(report_to_dict(report), indent=2, allow_nan=False)
-        return (payload + "\n").encode("utf-8")
+        return (_json_text(report_to_dict(report)) + "\n").encode("utf-8")
 
     if fmt is ReportFormat.CSV:
         lines = [

@@ -92,9 +92,10 @@ class LogisticFitReport:
 
     ``r2_logit`` is the R^2 of the straight-line fit in logit space at the
     selected K; ``k_at_bound`` flags an equilibrium estimate pinned against
-    the upper search bound (the data carry no saturation information). A K
-    within ``K_SEARCH_RTOL`` times the top of ``k_search_bracket`` of its
-    bottom sits on the lower bound, just above the largest value.
+    either end of ``k_search_bracket``: within 1% of the bracket of its top
+    (the data carry no saturation information), or within ``K_SEARCH_RTOL``
+    times the top of its bottom (just above the largest value, where the
+    logit fit does not locate the equilibrium).
     """
 
     params: LogisticParams
@@ -214,7 +215,7 @@ def fit_logistic(series: TechSeries, k_max_factor: float = 10.0) -> LogisticFitR
             "no increasing logistic trend"
         )
     params = LogisticParams(k=k_best, a=float(intercept), b=float(-slope))
-    k_at_bound = (hi - k_best) <= 0.01 * (hi - lo)
+    k_at_bound = hi - k_best <= 0.01 * (hi - lo) or k_best - lo <= K_SEARCH_RTOL * hi
     return LogisticFitReport(
         params=params, r2_logit=float(fit.r2), k_at_bound=k_at_bound, n=series.n
     )

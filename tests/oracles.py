@@ -161,13 +161,14 @@ def power_law_loglog_fit(host_kab, parasite_kab, n_points: int = 200) -> tuple:
 
 def recovery_reference(config, replicates: int, early_phase_only: bool = True):
     """Monte Carlo recovery the long way round: every replicate simulates the
-    whole config with ``simulate_pair`` (siblings included), restricts both
-    series to the early-phase window with ``TechSeries.restrict`` and refits.
+    whole config with ``simulate_pair`` (siblings included), masks both
+    series to the early-phase window ``times <= t_cut`` and refits.
     """
     from parasitech import (
         HarnessError,
         ParasitechError,
         RecoverySummary,
+        TechSeries,
         fit_evolution,
         simulate_pair,
         t_critical,
@@ -177,6 +178,11 @@ def recovery_reference(config, replicates: int, early_phase_only: bool = True):
     target = config.parasites[0]
     true_b = target.b / config.host.b
     t_cut = min(early_phase_cutoff(config.host), early_phase_cutoff(target))
+
+    def early(s):
+        keep = s.times <= t_cut
+        return TechSeries(s.name, s.role, s.units, s.times[keep], s.values[keep])
+
     estimates, covered, usable, failures, perfect = [], 0, 0, 0, 0
     for r in range(replicates):
         seed = derive_seed(config.seed, _REPLICATE_STREAM, r)
@@ -184,7 +190,7 @@ def recovery_reference(config, replicates: int, early_phase_only: bool = True):
             host, parasites = simulate_pair(dataclasses.replace(config, seed=seed))
             parasite = parasites[0]
             if early_phase_only:
-                host, parasite = host.restrict(t_cut), parasite.restrict(t_cut)
+                host, parasite = early(host), early(parasite)
             fit = fit_evolution(host, parasite)
         except ParasitechError:
             failures += 1

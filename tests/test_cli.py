@@ -333,10 +333,14 @@ class TestKBoundWarnings:
         assert err.startswith(warning) and err.count("\n") == 1
         assert "WARNING" not in out
         if fmt == "json":
-            assert list(strict_json(out)) == [
+            payload = strict_json(out)
+            assert list(payload) == [
                 "series", "k", "a", "b", "inflection_time", "r2_logit",
                 "k_at_bound", "n",
             ]
+            assert payload["k_at_bound"] is True
+        else:
+            assert "K at bound:      True" in out
 
     @pytest.mark.parametrize(
         "data, warning", [(SATURATED, LOWER), (EXPONENTIAL, UPPER)]
@@ -659,7 +663,10 @@ class TestCliContract:
     def test_json_output_is_strict(self, capsys, inputs, command):
         code, out, _ = run_cli(capsys, *json_argv(command, inputs))
         assert code == EXIT_OK
-        assert isinstance(strict_json(out), dict)
+        payload = strict_json(out)
+        assert isinstance(payload, dict)
+        # every command writes the stdlib's indented layout, byte for byte
+        assert out == json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
     def test_classify_json_is_the_report_classification(self, capsys, inputs):
         _, out, _ = run_cli(capsys, *json_argv("classify", inputs))

@@ -62,12 +62,6 @@ class TestTechSeries:
         s = TechSeries.from_columns("x", "host", "", [1, 2], [2.0, 4.0])
         np.testing.assert_allclose(s.scaled(0.5).values, [1.0, 2.0])
 
-    def test_restrict(self):
-        s = TechSeries.from_columns("x", "host", "", [1, 2, 3], [1.0, 2.0, 3.0])
-        assert s.restrict(2.0).n == 2
-        with pytest.raises(InsufficientDataError):
-            s.restrict(0.5)
-
 
 class TestClassifyPoint:
     @pytest.mark.parametrize(

@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parasitech import (
     EmptySeriesError,
@@ -16,6 +19,7 @@ from parasitech import (
     report_to_dict,
     write_series_csv,
 )
+from parasitech.io import _json_text
 from conftest import make_series
 
 
@@ -86,6 +90,18 @@ class TestParseSeriesCsv:
         assert sf.parsed.n == 2
         np.testing.assert_allclose(sf.parsed.values[0], 3.0)  # (2+4)/2
         assert any("2015" in w for w in sf.warnings)
+
+    @pytest.mark.parametrize("first, second", [("0", "-0"), ("-0", "0")])
+    def test_duplicate_year_keeps_its_first_rows_t(self, tmp_path, first, second):
+        text = f"t,value\n{first},2.0\n{second},4.0\n1,5.0\n"
+        sf = parse_series_csv(write(tmp_path, text))
+        assert sf.warnings == (
+            f"2 rows share t={float(first)!r}; aggregated by mean",
+        )
+        assert math.copysign(1.0, sf.parsed.times[0]) == math.copysign(
+            1.0, float(first)
+        )
+        np.testing.assert_array_equal(sf.parsed.values, [3.0, 5.0])
 
     @pytest.mark.parametrize("agg,expected", [("median", 4.0), ("max", 9.0)])
     def test_other_aggregators(self, tmp_path, agg, expected):
@@ -311,3 +327,69 @@ class TestReportDict:
         a["meta"]["timestamp"] = None
         b["meta"]["timestamp"] = None
         assert a == b
+
+
+def stdlib_json(obj):
+    return json.dumps(obj, indent=2, allow_nan=False)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+edge_floats = st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e308, -1e308]
+)
+texts = st.text() | st.sampled_from(
+    ["", "é", "日本語", "\u2028", "\x00", '"\\/', "\U0001f600"]
+)
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**63, -(2**64), 10**100]),
+    finite,
+    edge_floats,
+    finite.map(np.float64),
+    texts,
+)
+float_lists = st.lists(finite | edge_floats)
+payloads = st.recursive(
+    scalars | float_lists | st.lists(finite | st.none()),
+    lambda children: st.one_of(
+        st.lists(children),
+        st.lists(children).map(tuple),
+        st.dictionaries(texts, children),
+        st.dictionaries(
+            st.integers() | finite | st.booleans() | st.none(), children, max_size=3
+        ),
+    ),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    @given(payloads)
+    @settings(max_examples=150, deadline=None)
+    def test_equals_stdlib_indented_json(self, payload):
+        assert _json_text(payload) == stdlib_json(payload)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "wrap",
+        [
+            lambda x: x,
+            np.float64,
+            lambda x: [1.0, x, 2.0],
+            lambda x: [None, x],
+            lambda x: {"k": (0.5, x)},
+            lambda x: {x: 1},
+        ],
+        ids=["alone", "float64", "float-list", "mixed-list", "nested", "key"],
+    )
+    def test_non_finite_is_refused_by_both(self, bad, wrap):
+        for write in (_json_text, stdlib_json):
+            with pytest.raises(ValueError):
+                write(wrap(bad))
+
+    def test_unsupported_key_is_refused_by_both(self):
+        for write in (_json_text, stdlib_json):
+            with pytest.raises(TypeError):
+                write({(1, 2): 0})

@@ -205,13 +205,13 @@ class TestKSearch:
         with pytest.raises(InvalidInputError, match="overflows"):
             k_search_bracket(s, 1e308)
 
-    def test_lower_bound_k_is_not_flagged_but_detectable(self):
+    def test_lower_bound_k_is_flagged(self):
         # a noisy, saturated series: R^2 grows as K falls to max(v), so the
-        # search ends on its lower bound, which k_at_bound does not report
+        # search ends on its lower bound, which k_at_bound reports
         s = TechSeries("sat", "host", "", [0, 1, 2, 3, 4], [6.0, 2.0, 9.0, 9.0, 9.0])
         report = fit_logistic(s)
         lo, hi = k_search_bracket(s, 10.0)
-        assert not report.k_at_bound
+        assert report.k_at_bound
         assert 0 < report.params.k - lo <= K_SEARCH_RTOL * hi
 
 

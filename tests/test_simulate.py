@@ -262,7 +262,7 @@ class TestMonteCarloRecovery:
         np.testing.assert_allclose(a.estimates[0], b.estimates[0], atol=1e-6)
 
     def test_all_failures_is_harness_error(self):
-        # early-phase cutoff falls before the grid: every restrict() fails
+        # early-phase cutoff falls before the grid: every window is empty
         bad_host = LogisticParams(k=100.0, a=-5.0, b=0.05)
         config = early_config(host=bad_host)
         with pytest.raises(HarnessError):
