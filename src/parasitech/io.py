@@ -15,6 +15,7 @@ import json
 import math
 import statistics
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 from .core import TechSeries
@@ -32,6 +33,9 @@ AGGREGATORS = {
     "median": statistics.median,
     "max": max,
 }
+# Exact rational forms of the aggregators whose float arithmetic can
+# overflow on finite values (a sum, or the midpoint of two large values).
+_EXACT_AGGREGATORS = {"mean": statistics.mean, "median": statistics.median}
 
 
 class ReportFormat(enum.Enum):
@@ -68,7 +72,6 @@ def parse_series_csv(
         raise InvalidInputError(
             f"aggregator must be one of {sorted(AGGREGATORS)}, got {aggregator!r}"
         )
-    agg = AGGREGATORS[aggregator]
     text = path.read_text(encoding="utf-8-sig")
 
     warnings: list[str] = []
@@ -128,12 +131,23 @@ def parse_series_csv(
             warnings.append(
                 f"{len(group)} rows share t={t!r}; aggregated by {aggregator}"
             )
-            by_t[t] = float(agg(group))
+            by_t[t] = _aggregate(aggregator, group)
     series = TechSeries.from_columns(
         name if name is not None else path.stem, role, units, times,
         [by_t[t] for t in times],
     )
     return SeriesFile(path=str(path), parsed=series, warnings=tuple(warnings))
+
+
+def _aggregate(aggregator: str, group: list[float]) -> float:
+    """The aggregate of finite values; one that overflows is formed exactly."""
+    try:
+        value = float(AGGREGATORS[aggregator](group))
+    except OverflowError:  # fmean's sum
+        value = math.inf
+    if value == math.inf:  # no input is infinite, so the arithmetic overflowed
+        value = float(_EXACT_AGGREGATORS[aggregator](map(Fraction, group)))
+    return value
 
 
 def _num(x: float) -> str:

@@ -5,12 +5,20 @@ lognormal noise (positivity is preserved, and the disturbance lives in log
 space where the estimator's error term does). Sub-seeds for series and
 replicates are derived deterministically from the master seed, so any run is
 reproducible and replicates could be farmed out in parallel.
+
+The sub-seeds and the streams drawn from them are numpy's: the sub-seed of
+(master, stream, index) is the first 64-bit word of numpy's seed sequence
+of the entropy [master, stream, index], and a series drawn from seed s gets
+the numbers of numpy's PCG64 seeded with s. Both are computed here, bit for
+bit, rather than by numpy's per-seed objects, so that a block of replicates
+is seeded in one array pass.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from itertools import accumulate
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,6 +33,18 @@ from .logistic import LogisticParams, logistic_value
 # Tags keeping series-level and replicate-level seed streams disjoint.
 _SERIES_STREAM = 0
 _REPLICATE_STREAM = 1
+
+# Replicates seeded per array pass: bounds the pass's scratch memory.
+_SEED_BLOCK = 1024
+
+# numpy's seed-sequence hash constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M128 = (1 << 128) - 1
 
 # Default "early phase" threshold: a series is early while its value is
 # below this fraction of its equilibrium level K.
@@ -65,9 +85,7 @@ class SimConfig:
             raise InvalidInputError("noise_sigma must be a nonnegative finite real")
         if not (0.0 <= self.missing_prob < 1.0):
             raise InvalidInputError("missing_prob must lie in [0, 1)")
-        if not (0 <= int(self.seed) < 2**64):
-            raise InvalidInputError("seed must fit in an unsigned 64-bit integer")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
 
     def grid(self) -> np.ndarray:
         """The n_points evenly spaced times; they must be distinct floats."""
@@ -101,10 +119,98 @@ class RecoverySummary:
     perfect_fits: int
 
 
+def _check_seed(value, what: str = "seed") -> int:
+    if not (isinstance(value, numbers.Integral) and 0 <= value < 2**64):
+        raise InvalidInputError(
+            f"{what} must be an integer in [0, 2**64), got {value!r}"
+        )
+    return int(value)
+
+
+def _hash_constants(const: int, mult: int, calls: int):
+    """The (xor, multiply) constants of ``calls`` successive calls of numpy's
+    seed-sequence hash, each a uint64 column."""
+    consts = accumulate(range(calls), lambda c, _: c * mult & _M32, initial=const)
+    column = np.array(list(consts), np.uint64)[:, None]
+    return column[:-1], column[1:]
+
+
+# the hash calls that mix the pool of 3 integers (6 words at most), and
+# those of 8 output words
+_POOL_HASH = _hash_constants(_INIT_A, _MULT_A, 4 + 12 + 4 * 2)
+_OUTPUT_HASH = _hash_constants(_INIT_B, _MULT_B, 8)
+
+
+def _hash(v, constants, calls: slice):
+    xor, mult = constants
+    v = (v ^ xor[calls]) * mult[calls] & _M32
+    return v ^ v >> 16
+
+
+def _mix(x, y):
+    v = (_MIX_L * x - _MIX_R * y) & _M32
+    return v ^ v >> 16
+
+
+def _seed_sequence(columns, n_words: int) -> np.ndarray:
+    """Column j is ``generate_state(n_words, np.uint64)`` of numpy's seed
+    sequence of the j-th entries of ``columns`` (at most 3 columns of integers
+    below 2**64, scalars or equal-length arrays).
+
+    numpy hashes one word at a time; here the pool words that one word is
+    mixed into, and the words of the output, are hashed in one array op.
+    """
+    n = max(np.size(c) for c in columns)
+    rows, length = np.arange(n), np.zeros(n, np.intp)
+    # each integer is 1 or 2 little-endian 32-bit words; numpy pads to 4 with 0
+    words = np.zeros((max(4, 2 * len(columns)), n), np.uint64)
+    for c in columns:
+        c = np.asarray(c, np.uint64)
+        # a high word of 0 is overwritten by the next column's low word
+        words[length, rows], words[length + 1, rows] = c & _M32, c >> 32
+        length += 1 + (c > _M32)
+
+    pool = _hash(words[:4], _POOL_HASH, slice(0, 4))
+    call = 4
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mix(pool[dst], _hash(pool[src], _POOL_HASH, slice(call, call + 3)))
+        call += 3
+    for src in range(4, len(words)):  # words beyond the pool, in rows that have them
+        present = length > src
+        if not present.any():
+            break
+        mixed = _mix(pool, _hash(words[src], _POOL_HASH, slice(call, call + 4)))
+        pool = np.where(present, mixed, pool)
+        call += 4
+    half = _hash(pool[np.arange(2 * n_words) % 4], _OUTPUT_HASH, slice(0, 2 * n_words))
+    return half[0::2] | half[1::2] << 32
+
+
+def _derive(master, stream, index) -> np.ndarray:
+    """``derive_seed`` of each row of (master, stream, index), as uint64."""
+    return _seed_sequence((master, stream, index), 1)[0]
+
+
+def _pcg_states(seeds) -> list[tuple[int, int]]:
+    """The (state, inc) that ``np.random.PCG64(seed)`` starts from, per seed."""
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*_seed_sequence((seeds,), 4).tolist()):
+        # pcg64_set_seed: state 0, one LCG step, add the seed, one more step
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+        states.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128, inc))
+    return states
+
+
 def derive_seed(master: int, stream: int, index: int) -> int:
-    """Deterministic 64-bit sub-seed from (master seed, stream tag, index)."""
-    ss = np.random.SeedSequence([int(master), int(stream), int(index)])
-    return int(ss.generate_state(1, np.uint64)[0])
+    """Deterministic 64-bit sub-seed from (master seed, stream tag, index).
+
+    It is the first uint64 that numpy's seed sequence of the entropy
+    [master, stream, index] generates; each argument must be an integer in
+    [0, 2**64).
+    """
+    names = ("master", "stream", "index")
+    return int(_derive(*map(_check_seed, (master, stream, index), names))[0])
 
 
 def simulate_series(
@@ -134,19 +240,28 @@ def simulate_series(
     if not (0.0 <= missing_prob < 1.0):
         raise InvalidInputError("missing_prob must lie in [0, 1)")
 
+    (state,) = _pcg_states([_check_seed(seed)])
+    gen = np.random.Generator(np.random.PCG64())
     values = logistic_value(params, t)
-    keep, values = _draw(values, noise_sigma, missing_prob, seed, name)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        keep, values = _draw(values, noise_sigma, missing_prob, gen, state, name)
     return TechSeries.from_columns(name, role, units, t[keep], values[keep])
 
 
-def _draw(values, noise_sigma, missing_prob, seed, name):
-    """The kept mask and the noisy values around the true ``values``."""
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(values.size)
-    keep = rng.random(values.size) >= missing_prob
+def _draw(values, noise_sigma, missing_prob, gen, state, name):
+    """The kept mask and the noisy values around the true ``values``, drawn
+    by ``gen`` from the PCG64 ``state`` that ``_pcg_states`` gives a seed.
+    The caller silences numpy's over/underflow warnings."""
+    gen.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state[0], "inc": state[1]},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    z = gen.standard_normal(values.size)
+    keep = gen.random(values.size) >= missing_prob
     if noise_sigma > 0:
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            noisy = values * np.exp(noise_sigma * z)
+        noisy = values * np.exp(noise_sigma * z)
         if np.any(keep & (values > 0) & ~((noisy > 0) & (noisy < math.inf))):
             raise InvalidInputError(
                 f"noise_sigma={noise_sigma!r} is too large: lognormal noise "
@@ -163,28 +278,29 @@ def simulate_pair(config: SimConfig) -> tuple[TechSeries, tuple[TechSeries, ...]
     with the host at index 0, so streams stay independent and reproducible.
     """
     grid = config.grid()
-    host = simulate_series(
-        config.host,
-        grid,
-        config.noise_sigma,
-        config.missing_prob,
-        seed=derive_seed(config.seed, _SERIES_STREAM, 0),
-        name="host",
-        role="host",
+    laws = [(config.host, "host", "host")] + [
+        (p, f"parasite{i}", "parasite") for i, p in enumerate(config.parasites, 1)
+    ]
+    seeds = _derive(config.seed, _SERIES_STREAM, np.arange(len(laws))).tolist()
+    host, *parasites = (
+        simulate_series(params, grid, config.noise_sigma, config.missing_prob,
+                        seed=seed, name=name, role=role)
+        for (params, name, role), seed in zip(laws, seeds)
     )
-    parasites = tuple(
-        simulate_series(
-            p,
-            grid,
-            config.noise_sigma,
-            config.missing_prob,
-            seed=derive_seed(config.seed, _SERIES_STREAM, i + 1),
-            name=f"parasite{i + 1}",
-            role="parasite",
-        )
-        for i, p in enumerate(config.parasites)
-    )
-    return host, parasites
+    return host, tuple(parasites)
+
+
+def _replicate_states(master: int, replicates: int, n_series: int):
+    """Per replicate r, the PCG64 states of the first ``n_series`` series that
+    ``simulate_pair`` draws on r's seed, derived (master, replicate stream, r).
+    One array pass seeds ``_SEED_BLOCK`` replicates."""
+    for start in range(0, replicates, _SEED_BLOCK):
+        block = _derive(master, _REPLICATE_STREAM,
+                        np.arange(start, min(start + _SEED_BLOCK, replicates)))
+        series = np.tile(np.arange(n_series), block.size)
+        states = _pcg_states(_derive(block.repeat(n_series), _SERIES_STREAM, series))
+        for j in range(0, len(states), n_series):
+            yield states[j:j + n_series]
 
 
 def early_phase_cutoff(
@@ -233,28 +349,28 @@ def monte_carlo_recovery(
     failures = 0
     perfect = 0
     sigma, p_missing = config.noise_sigma, config.missing_prob
-    for r in range(replicates):
-        rep_seed = derive_seed(config.seed, _REPLICATE_STREAM, r)
-        try:
-            pair = []
-            for i, (name, role, curve) in enumerate(laws):
-                seed = derive_seed(rep_seed, _SERIES_STREAM, i)
-                keep, values = _draw(curve, sigma, p_missing, seed, name)
-                keep &= window
-                pair.append(TechSeries(name, role, "fmt", grid[keep], values[keep]))
-            fit = fit_evolution(*pair)
-        except ParasitechError:
-            failures += 1
-            continue
-        estimates.append(fit.b)
-        se = fit.regression.standard_errors[1]
-        if se > 0:
-            usable_cis += 1
-            half = statkit.t_critical(0.05, fit.n_paired - 2) * se
-            if abs(fit.b - true_b) <= half:
-                covered += 1
-        else:
-            perfect += 1
+    gen = np.random.Generator(np.random.PCG64())  # re-seeded by every _draw
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for states in _replicate_states(config.seed, replicates, len(laws)):
+            try:
+                pair = []
+                for (name, role, curve), state in zip(laws, states):
+                    keep, values = _draw(curve, sigma, p_missing, gen, state, name)
+                    keep &= window
+                    pair.append(TechSeries(name, role, "fmt", grid[keep], values[keep]))
+                fit = fit_evolution(*pair)
+            except ParasitechError:
+                failures += 1
+                continue
+            estimates.append(fit.b)
+            se = fit.regression.standard_errors[1]
+            if se > 0:
+                usable_cis += 1
+                half = statkit.t_critical(0.05, fit.n_paired - 2) * se
+                if abs(fit.b - true_b) <= half:
+                    covered += 1
+            else:
+                perfect += 1
 
     if not estimates:
         raise HarnessError(

@@ -4,10 +4,10 @@ Each oracle takes a deliberately different route from the code under test:
 textbook sum formulas for simple regression, explicit normal equations for
 multiple regression, quadrature of the density for distribution tails, and
 a log-log straight-line fit of exactly generated curves for the power law,
-and the Monte Carlo recovery loop by way of whole simulated configs.
+and the Monte Carlo recovery loop by way of whole simulated configs seeded
+and drawn by numpy's own SeedSequence and default_rng.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -160,9 +160,13 @@ def power_law_loglog_fit(host_kab, parasite_kab, n_points: int = 200) -> tuple:
 
 
 def recovery_reference(config, replicates: int, early_phase_only: bool = True):
-    """Monte Carlo recovery the long way round: every replicate simulates the
-    whole config with ``simulate_pair`` (siblings included), masks both
-    series to the early-phase window ``times <= t_cut`` and refits.
+    """Monte Carlo recovery the long way round, on numpy's own seeding.
+
+    Every replicate takes its seed and each series' seed from
+    ``np.random.SeedSequence``, draws every series of the whole config
+    (siblings included) from ``np.random.default_rng``, builds the full
+    series, masks host and first parasite to the early-phase window
+    ``times <= t_cut`` and refits.
     """
     from parasitech import (
         HarnessError,
@@ -170,14 +174,36 @@ def recovery_reference(config, replicates: int, early_phase_only: bool = True):
         RecoverySummary,
         TechSeries,
         fit_evolution,
-        simulate_pair,
+        logistic_value,
         t_critical,
     )
-    from parasitech.simulate import _REPLICATE_STREAM, derive_seed, early_phase_cutoff
+    from parasitech.simulate import (
+        _REPLICATE_STREAM,
+        _SERIES_STREAM,
+        early_phase_cutoff,
+    )
 
+    def sub_seed(master, stream, index):
+        ss = np.random.SeedSequence([master, stream, index])
+        return int(ss.generate_state(1, np.uint64)[0])
+
+    grid = config.grid()
+    laws = [("host", "host", config.host)] + [
+        (f"parasite{i}", "parasite", p) for i, p in enumerate(config.parasites, 1)
+    ]
     target = config.parasites[0]
     true_b = target.b / config.host.b
     t_cut = min(early_phase_cutoff(config.host), early_phase_cutoff(target))
+
+    def draw(name, role, law, seed):
+        rng = np.random.default_rng(seed)
+        values = logistic_value(law, grid)
+        z = rng.standard_normal(grid.size)
+        kept = rng.random(grid.size) >= config.missing_prob
+        if config.noise_sigma > 0:
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                values = values * np.exp(config.noise_sigma * z)
+        return TechSeries(name, role, "fmt", grid[kept], values[kept])
 
     def early(s):
         keep = s.times <= t_cut
@@ -185,10 +211,12 @@ def recovery_reference(config, replicates: int, early_phase_only: bool = True):
 
     estimates, covered, usable, failures, perfect = [], 0, 0, 0, 0
     for r in range(replicates):
-        seed = derive_seed(config.seed, _REPLICATE_STREAM, r)
+        seed = sub_seed(config.seed, _REPLICATE_STREAM, r)
         try:
-            host, parasites = simulate_pair(dataclasses.replace(config, seed=seed))
-            parasite = parasites[0]
+            host, parasite, *_ = [
+                draw(*law, sub_seed(seed, _SERIES_STREAM, i))
+                for i, law in enumerate(laws)
+            ]
             if early_phase_only:
                 host, parasite = early(host), early(parasite)
             fit = fit_evolution(host, parasite)

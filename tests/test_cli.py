@@ -416,6 +416,18 @@ class TestStatsAndStandardize:
         assert abs(payload["mean"] - 2.0) < 1e-12
         assert abs(payload["sd"] - 1.0) < 1e-12
 
+    def test_stats_of_huge_duplicate_years(self, capsys, tmp_path):
+        # the mean of two rows 1,1e308 overflowed in fsum: a traceback
+        path = tmp_path / "s.csv"
+        path.write_text("t,value\n1,1e308\n1,1e308\n2,1.0\n3,2.0\n", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "stats", "--input", str(path), "--log", "--format", "json"
+        )
+        assert code == EXIT_OK
+        assert "aggregated by mean" in err
+        assert strict_json(out)["n"] == 3
+        assert strict_json(out)["mean"] == (math.log(1e308) + math.log(2.0)) / 3
+
     def test_standardize(self, capsys, tmp_path):
         path = write_series(tmp_path, "s.csv", [1, 2, 3], [1.0, 2.0, 3.0])
         code, out, _ = run_cli(capsys, "standardize", "--input", str(path))

@@ -109,6 +109,24 @@ class TestParseSeriesCsv:
         sf = parse_series_csv(write(tmp_path, text), aggregator=agg)
         np.testing.assert_allclose(sf.parsed.values[0], expected)
 
+    @pytest.mark.parametrize(
+        "values, agg, expected",
+        [
+            (["1e308", "1e308"], "mean", 1e308),
+            (["1e308", "1e308"], "median", 1e308),
+            (["1.7e308", "1.7e308", "1.7e308"], "mean", 1.7e308),
+            (["1e308", "1.5e308", "1", "1.7e308"], "median", 1.25e308),
+        ],
+    )
+    def test_aggregate_of_huge_duplicates_does_not_overflow(
+        self, tmp_path, values, agg, expected
+    ):
+        # the float sum overflowed: fmean raised OverflowError and the median
+        # of two came out inf, so the file was refused as non-finite
+        text = "t,value\n" + "".join(f"1,{v}\n" for v in values) + "2,5.0\n"
+        sf = parse_series_csv(write(tmp_path, text), aggregator=agg)
+        assert sf.parsed.values.tolist() == [expected, 5.0]
+
     def test_unknown_aggregator(self, tmp_path):
         with pytest.raises(InvalidInputError):
             parse_series_csv(

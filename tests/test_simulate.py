@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from parasitech import simulate
 from parasitech import (
     HarnessError,
     InvalidInputError,
@@ -14,7 +17,7 @@ from parasitech import (
     simulate_pair,
     simulate_series,
 )
-from parasitech.simulate import derive_seed, early_phase_cutoff
+from parasitech.simulate import _derive, _pcg_states, derive_seed, early_phase_cutoff
 from oracles import recovery_reference
 
 
@@ -172,11 +175,61 @@ class TestSimulatePair:
         assert simulate_pair(config) == simulate_pair(config)
 
 
+# 64-bit seeds, with the boundaries where numpy's entropy grows a word
+SEEDS = st.one_of(
+    st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]), st.integers(0, 2**64 - 1)
+)
+
+
 class TestSeedDerivation:
     def test_deterministic_and_distinct(self):
         assert derive_seed(42, 0, 1) == derive_seed(42, 0, 1)
         seen = {derive_seed(42, s, i) for s in (0, 1) for i in range(50)}
         assert len(seen) == 100
+
+    @given(st.lists(st.tuples(SEEDS, st.sampled_from([0, 1]), SEEDS), min_size=1,
+                    max_size=40))
+    def test_block_derivation_is_numpys(self, rows):
+        master, stream, index = (np.array(c, dtype=np.uint64) for c in zip(*rows))
+        expected = [
+            int(np.random.SeedSequence(list(row)).generate_state(1, np.uint64)[0])
+            for row in rows
+        ]
+        assert _derive(master, stream, index).tolist() == expected
+        assert [derive_seed(*row) for row in rows[:3]] == expected[:3]
+
+    @given(st.lists(SEEDS, min_size=1, max_size=40))
+    def test_generator_states_are_numpys(self, seeds):
+        states = _pcg_states(np.array(seeds, dtype=np.uint64))
+        assert [{"state": s, "inc": inc} for s, inc in states] == [
+            np.random.PCG64(seed).state["state"] for seed in seeds
+        ]
+
+    def test_series_draws_as_numpy(self):
+        grid = np.linspace(0, 40, 30)
+        for seed in (0, 2**32, 2**64 - 1):
+            rng = np.random.default_rng(seed)
+            z = rng.standard_normal(30)
+            keep = rng.random(30) >= 0.2
+            s = simulate_series(HOST_LAW, grid, 0.1, 0.2, seed=seed)
+            np.testing.assert_array_equal(s.times, grid[keep])
+            np.testing.assert_array_equal(
+                s.values, (logistic_value(HOST_LAW, grid) * np.exp(0.1 * z))[keep]
+            )
+
+    @pytest.mark.parametrize("bad", [-1, 2**64, 3.0, 2.5, "3", None])
+    def test_seed_outside_64_bits_is_refused(self, bad):
+        # numpy raised a bare ValueError or TypeError, and took 2**64
+        with pytest.raises(InvalidInputError, match=r"integer in \[0, 2\*\*64\)"):
+            simulate_series(HOST_LAW, np.linspace(0, 40, 20), seed=bad)
+        for args in ((bad, 0, 0), (0, bad, 0), (0, 0, bad)):
+            with pytest.raises(InvalidInputError):
+                derive_seed(*args)
+
+    def test_numpy_integer_seeds_are_accepted(self):
+        assert derive_seed(np.uint64(2**64 - 1), np.int8(1), np.int64(7)) == derive_seed(
+            2**64 - 1, 1, 7
+        )
 
 
 class TestEarlyPhaseCutoff:
@@ -286,6 +339,14 @@ class TestMonteCarloRecovery:
         )
         summary = monte_carlo_recovery(config, 30, early_phase_only)
         assert summary == recovery_reference(config, 30, early_phase_only)
+
+    @pytest.mark.parametrize("replicates", [1, 3, 7])
+    def test_seed_blocks_equal_the_reference(self, monkeypatch, replicates):
+        # blocks of 3: one short block, one whole block, and a remainder
+        monkeypatch.setattr(simulate, "_SEED_BLOCK", 3)
+        config = early_config(noise_sigma=0.03, missing_prob=0.1, seed=2**64 - 1)
+        summary = monte_carlo_recovery(config, replicates)
+        assert summary == recovery_reference(config, replicates)
 
     def test_failing_scenario_equals_the_reference(self):
         config = early_config(n_points=5, missing_prob=0.6, seed=3)
