@@ -78,13 +78,15 @@ class TechSeries:
             )
         if not t.size:
             raise InvalidInputError(f"series {name!r}: no observations")
-        if not np.isfinite(t).all():
-            raise InvalidInputError(f"series {name!r}: non-finite time value")
-        if (np.diff(t) <= 0).any():
+        # strictly increasing between finite ends: every time is finite
+        ends = math.isfinite(t[0]) and math.isfinite(t[-1])
+        if not (ends and (t[1:] > t[:-1]).all()):
+            if not np.isfinite(t).all():
+                raise InvalidInputError(f"series {name!r}: non-finite time value")
             raise InvalidInputError(
                 f"series {name!r}: observation times must be strictly increasing"
             )
-        if not (np.isfinite(v) & (v > 0)).all():
+        if not (v.min() > 0 and v.max() < math.inf):  # NaN fails too
             raise InvalidInputError(
                 f"series {name!r}: every value must be a finite positive real"
             )

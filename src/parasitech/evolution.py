@@ -109,14 +109,17 @@ def _align(series: Sequence[TechSeries]) -> tuple[np.ndarray, list[np.ndarray]]:
 
     Columns are addressed by position, never by name, so two series that
     share a name stay two columns. The error names the pair whose
-    intersection first becomes empty.
+    intersection first becomes empty. Times are strictly increasing, so
+    the years of one series are found in the other's by binary search; a
+    year keeps the first series' float (-0.0 against 0.0).
     """
     years = series[0].times
     picks = [np.arange(years.size)]
     for s in series[1:]:
-        years, kept, idx = np.intersect1d(
-            years, s.times, assume_unique=True, return_indices=True
-        )
+        times = s.times
+        idx = times.searchsorted(years)
+        kept = (times.take(idx, mode="clip") == years).nonzero()[0]
+        years, idx = years[kept], idx[kept]
         if not years.size:
             raise NoOverlapError(
                 f"series {series[0].name!r} and {s.name!r} share no "

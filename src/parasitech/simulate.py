@@ -11,7 +11,7 @@ The sub-seeds and the streams drawn from them are numpy's: the sub-seed of
 of the entropy [master, stream, index], and a series drawn from seed s gets
 the numbers of numpy's PCG64 seeded with s. Both are computed here, bit for
 bit, rather than by numpy's per-seed objects, so that a block of replicates
-is seeded in one array pass.
+is seeded, and drawn, in one array pass.
 """
 
 from __future__ import annotations
@@ -34,8 +34,10 @@ from .logistic import LogisticParams, logistic_value
 _SERIES_STREAM = 0
 _REPLICATE_STREAM = 1
 
-# Replicates seeded per array pass: bounds the pass's scratch memory.
+# Replicates seeded, and numbers drawn, per array pass: they bound its
+# scratch memory (about 1 MB), with at least one replicate per pass.
 _SEED_BLOCK = 1024
+_DRAW_BLOCK = 2**15
 
 # numpy's seed-sequence hash constants (numpy/random/bit_generator.pyx) and
 # PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
@@ -240,35 +242,55 @@ def simulate_series(
     if not (0.0 <= missing_prob < 1.0):
         raise InvalidInputError("missing_prob must lie in [0, 1)")
 
-    (state,) = _pcg_states([_check_seed(seed)])
-    gen = np.random.Generator(np.random.PCG64())
-    values = logistic_value(params, t)
+    seeds = np.array([[_check_seed(seed)]], np.uint64)
+    keep, values, overflow = _draw(logistic_value(params, t)[None], noise_sigma,
+                                   missing_prob, seeds)
+    return _kept(name, role, units, t, keep[0, 0], values[0, 0], overflow[0, 0],
+                 noise_sigma)
+
+
+def _draw(curves, noise_sigma, missing_prob, seeds):
+    """Draw a block of replicates around the true ``curves`` (series x n).
+
+    ``seeds`` holds one PCG64 seed per (replicate, series); each series
+    draws its n normals z, then its n uniforms u, as numpy's
+    ``default_rng(seed)`` would, into one row of a (replicates, series, n)
+    array. Returns the kept mask u >= missing_prob, the values
+    ``curves * exp(noise_sigma * z)`` and, per (replicate, series), whether
+    the noise drives a kept value out of the positive floats.
+    """
+    z = np.empty(seeds.shape + curves.shape[-1:])
+    u = np.empty_like(z)
+    gen = np.random.Generator(np.random.PCG64())  # re-seeded for every series
+    rows = zip(_pcg_states(seeds.ravel()), z.reshape(seeds.size, -1),
+               u.reshape(seeds.size, -1))
+    for (state, inc), z_row, u_row in rows:
+        gen.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        gen.standard_normal(out=z_row)
+        gen.random(out=u_row)
+    keep = u >= missing_prob
+    if not noise_sigma > 0:
+        return keep, np.broadcast_to(curves, z.shape), np.zeros(seeds.shape, bool)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        keep, values = _draw(values, noise_sigma, missing_prob, gen, state, name)
-    return TechSeries.from_columns(name, role, units, t[keep], values[keep])
+        z *= noise_sigma  # z becomes the values, in place
+        values = np.multiply(curves, np.exp(z, out=z), out=z)
+        lost = keep & (curves > 0) & ~((values > 0) & (values < math.inf))
+    return keep, values, lost.any(axis=-1)
 
 
-def _draw(values, noise_sigma, missing_prob, gen, state, name):
-    """The kept mask and the noisy values around the true ``values``, drawn
-    by ``gen`` from the PCG64 ``state`` that ``_pcg_states`` gives a seed.
-    The caller silences numpy's over/underflow warnings."""
-    gen.bit_generator.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": state[0], "inc": state[1]},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    z = gen.standard_normal(values.size)
-    keep = gen.random(values.size) >= missing_prob
-    if noise_sigma > 0:
-        noisy = values * np.exp(noise_sigma * z)
-        if np.any(keep & (values > 0) & ~((noisy > 0) & (noisy < math.inf))):
-            raise InvalidInputError(
-                f"noise_sigma={noise_sigma!r} is too large: lognormal noise "
-                f"drives a value of series {name!r} out of the positive floats"
-            )
-        values = noisy
-    return keep, values
+def _kept(name, role, units, t, keep, values, overflow, noise_sigma) -> TechSeries:
+    """The series of the kept points of one drawn row."""
+    if overflow:
+        raise InvalidInputError(
+            f"noise_sigma={noise_sigma!r} is too large: lognormal noise "
+            f"drives a value of series {name!r} out of the positive floats"
+        )
+    return TechSeries(name, role, units, t[keep], values[keep])
 
 
 def simulate_pair(config: SimConfig) -> tuple[TechSeries, tuple[TechSeries, ...]]:
@@ -281,26 +303,15 @@ def simulate_pair(config: SimConfig) -> tuple[TechSeries, tuple[TechSeries, ...]
     laws = [(config.host, "host", "host")] + [
         (p, f"parasite{i}", "parasite") for i, p in enumerate(config.parasites, 1)
     ]
-    seeds = _derive(config.seed, _SERIES_STREAM, np.arange(len(laws))).tolist()
+    curves = np.array([logistic_value(params, grid) for params, _, _ in laws])
+    seeds = _derive(config.seed, _SERIES_STREAM, np.arange(len(laws)))[None]
+    sigma = config.noise_sigma
+    keep, values, overflow = _draw(curves, sigma, config.missing_prob, seeds)
     host, *parasites = (
-        simulate_series(params, grid, config.noise_sigma, config.missing_prob,
-                        seed=seed, name=name, role=role)
-        for (params, name, role), seed in zip(laws, seeds)
+        _kept(name, role, "fmt", grid, *row, sigma)
+        for (_, name, role), *row in zip(laws, keep[0], values[0], overflow[0])
     )
     return host, tuple(parasites)
-
-
-def _replicate_states(master: int, replicates: int, n_series: int):
-    """Per replicate r, the PCG64 states of the first ``n_series`` series that
-    ``simulate_pair`` draws on r's seed, derived (master, replicate stream, r).
-    One array pass seeds ``_SEED_BLOCK`` replicates."""
-    for start in range(0, replicates, _SEED_BLOCK):
-        block = _derive(master, _REPLICATE_STREAM,
-                        np.arange(start, min(start + _SEED_BLOCK, replicates)))
-        series = np.tile(np.arange(n_series), block.size)
-        states = _pcg_states(_derive(block.repeat(n_series), _SERIES_STREAM, series))
-        for j in range(0, len(states), n_series):
-            yield states[j:j + n_series]
 
 
 def early_phase_cutoff(
@@ -338,10 +349,9 @@ def monte_carlo_recovery(
     grid = config.grid()
     t_cut = min(early_phase_cutoff(config.host), early_phase_cutoff(target))
     window = grid <= t_cut if early_phase_only else True
-    laws = (
-        ("host", "host", logistic_value(config.host, grid)),
-        ("parasite1", "parasite", logistic_value(target, grid)),
-    )
+    laws = (("host", "host"), ("parasite1", "parasite"))
+    curves = np.array([logistic_value(config.host, grid), logistic_value(target, grid)])
+    block = max(1, min(_SEED_BLOCK, _DRAW_BLOCK // curves.size))
 
     estimates: list[float] = []
     covered = 0
@@ -349,16 +359,21 @@ def monte_carlo_recovery(
     failures = 0
     perfect = 0
     sigma, p_missing = config.noise_sigma, config.missing_prob
-    gen = np.random.Generator(np.random.PCG64())  # re-seeded by every _draw
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        for states in _replicate_states(config.seed, replicates, len(laws)):
+    for start in range(0, replicates, block):
+        # series i of replicate r draws as simulate_pair on r's seed would
+        masters = _derive(config.seed, _REPLICATE_STREAM,
+                          np.arange(start, min(start + block, replicates)))
+        series = np.tile(np.arange(len(laws)), masters.size)
+        seeds = _derive(masters.repeat(len(laws)), _SERIES_STREAM, series)
+        seeds = seeds.reshape(-1, len(laws))
+        keep, values, overflow = _draw(curves, sigma, p_missing, seeds)
+        keep &= window
+        for rows in zip(keep, values, overflow):
             try:
-                pair = []
-                for (name, role, curve), state in zip(laws, states):
-                    keep, values = _draw(curve, sigma, p_missing, gen, state, name)
-                    keep &= window
-                    pair.append(TechSeries(name, role, "fmt", grid[keep], values[keep]))
-                fit = fit_evolution(*pair)
+                fit = fit_evolution(*(
+                    _kept(name, role, "fmt", grid, *row, sigma)
+                    for (name, role), *row in zip(laws, *rows)
+                ))
             except ParasitechError:
                 failures += 1
                 continue

@@ -9,7 +9,7 @@ excess kurtosis) follow the usual social-science software definitions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -144,21 +144,20 @@ def significance_stars(p: float) -> str:
     return ""
 
 
-def _tail_stats(coef: np.ndarray, se: np.ndarray, df: int):
+def _tail_stats(coef, se, df: int):
     """t statistics and two-sided p-values, guarding zero standard errors."""
-    t_stats = np.empty_like(coef)
-    p_values = np.empty_like(coef)
-    for j, (c, s) in enumerate(zip(coef, se)):
+    t_stats, p_values = [], []
+    for c, s in zip(coef, se):
         if s > 0:
-            t = c / s
-            t_stats[j] = t
-            p_values[j] = student_t_sf(t, df)
+            t = float(c / s)
+            t_stats.append(t)
+            p_values.append(student_t_sf(t, df))
         elif c == 0.0:
-            t_stats[j] = 0.0
-            p_values[j] = 1.0
+            t_stats.append(0.0)
+            p_values.append(1.0)
         else:
-            t_stats[j] = math.copysign(math.inf, c)
-            p_values[j] = 0.0
+            t_stats.append(math.copysign(math.inf, c))
+            p_values.append(0.0)
     return t_stats, p_values
 
 
@@ -177,7 +176,7 @@ def _f_overall(sst: float, sse: float, k: int, df_resid: int):
 def _line(x, y, x_mean, dx, sxx):
     """Intercept, slope, SSE and SST of the least-squares line of y on x,
     given x's mean, its deviations from it and their sum of squares."""
-    y_mean = y.mean()
+    y_mean = float(y.sum()) / y.size  # what y.mean() computes
     dy = y - y_mean
     slope = float(dx @ dy) / sxx
     intercept = y_mean - slope * x_mean
@@ -198,10 +197,10 @@ def _result(coef, se, std_coef, sse, sst, n, k) -> RegressionResult:
     t_stats, p_values = _tail_stats(coef, se, df_resid)
     f_stat, f_p = _f_overall(sst, sse, k, df_resid)
     return RegressionResult(
-        coefficients=tuple(float(c) for c in coef),
-        standard_errors=tuple(float(s) for s in se),
-        t_stats=tuple(float(t) for t in t_stats),
-        p_values=tuple(float(p) for p in p_values),
+        coefficients=tuple(map(float, coef)),
+        standard_errors=tuple(map(float, se)),
+        t_stats=tuple(t_stats),
+        p_values=tuple(p_values),
         standardized_coefficients=tuple(std_coef),
         r2=float(r2),
         r2_adj=float(r2_adj),
@@ -228,10 +227,11 @@ def ols_simple(x: Sequence[float], y: Sequence[float]) -> RegressionResult:
     n = x.size
     if n < 3:
         raise InsufficientDataError(f"need at least 3 observations, got {n}")
-    if np.ptp(x) == 0.0:
+    if x.max() - x.min() == 0.0:  # as np.ptp: NaN, not 0, for an infinite x
         raise SingularDesignError("x is constant; slope is not identified")
 
-    x_mean = x.mean()
+    # what x.mean() computes; a numpy float, so x_mean**2 overflows to inf
+    x_mean = x.sum() / n
     dx = x - x_mean
     sxx = float(dx @ dx)
     intercept, slope, sse, sst = _line(x, y, x_mean, dx, sxx)
@@ -243,8 +243,7 @@ def ols_simple(x: Sequence[float], y: Sequence[float]) -> RegressionResult:
     sd_y = math.sqrt(sst / (n - 1))
     std_slope = slope * sd_x / sd_y if sd_y > 0 else math.nan
 
-    coef = np.array([intercept, slope])
-    se = np.array([se_intercept, se_slope])
+    coef, se = (intercept, slope), (se_intercept, se_slope)
     return _result(coef, se, (math.nan, std_slope), sse, sst, n, 1)
 
 
@@ -303,13 +302,37 @@ def descriptive(values: Sequence[float]) -> DescriptiveStats:
     Skewness is the adjusted Fisher-Pearson coefficient
     g1 * sqrt(n(n-1))/(n-2); kurtosis is the excess form
     n(n+1)/((n-1)(n-2)(n-3)) * sum(z^4) - 3(n-1)^2/((n-2)(n-3)) with z
-    standardized by the sample sd.
+    standardized by the sample sd. When a sum of powers over- or
+    underflows, the moments are taken of the values scaled by an exact
+    power of two.
     """
     x = np.asarray(values, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise InsufficientDataError("need at least 1 value")
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("values must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = _moments(x)
+    if stats is None:
+        scaled, e = _unit_scaled(x)
+        stats = _moments(scaled)
+        with np.errstate(over="ignore"):  # an sd beyond the floats is inf
+            sd = float(np.ldexp(stats.sd, e))
+        stats = replace(stats, mean=math.ldexp(stats.mean, e), sd=sd)
+    return stats
+
+
+def _unit_scaled(x):
+    """x / 2**e and e, for the e that brings max |x| into [0.5, 1): exact,
+    but for values pushed below the normal floats."""
+    e = math.frexp(float(np.abs(x).max()))[1]
+    return np.ldexp(x, -e), e
+
+
+def _moments(x) -> DescriptiveStats | None:
+    """The moments of x, or None where a sum of powers over- or underflows
+    (which x / 2**e, max |x / 2**e| in [0.5, 1), cannot do). A finite sd
+    bounds every |d / sd| by sqrt(n - 1), so only the cubes can overflow."""
     n = x.size
     mean = float(x.mean())
 
@@ -317,15 +340,21 @@ def descriptive(values: Sequence[float]) -> DescriptiveStats:
         return DescriptiveStats(n=n, mean=mean, sd=0.0, skewness=None, kurtosis=None)
 
     d = x - mean
-    sd = math.sqrt(float(d @ d) / (n - 1))
-    if sd == 0.0:
-        return DescriptiveStats(n=n, mean=mean, sd=0.0, skewness=None, kurtosis=None)
+    ss = float(d @ d)
+    sd = math.sqrt(ss / (n - 1))
+    if not 0.0 < sd < math.inf:  # values that differ have a positive sd
+        return None
 
     skewness = None
     if n >= 3:
-        m2 = float(d @ d) / n
+        m2 = ss / n
         m3 = float(np.sum(d**3)) / n
-        g1 = m3 / m2**1.5
+        try:
+            g1 = m3 / m2**1.5
+        except (OverflowError, ZeroDivisionError):  # m2**1.5 left the floats
+            return None
+        if not math.isfinite(g1):  # so did a cube
+            return None
         skewness = g1 * math.sqrt(n * (n - 1)) / (n - 2)
 
     kurtosis = None
@@ -378,16 +407,26 @@ def zscore(values: Sequence[float]) -> np.ndarray:
     """Standardize to mean 0 and sample sd 1 (negative below the mean).
 
     Centered twice so the output mean is zero to machine precision even for
-    series with a large mean-to-sd ratio.
+    series with a large mean-to-sd ratio. z is scale-free, so when a sum
+    over- or underflows it is taken of the values scaled by an exact power
+    of two.
     """
     x = np.asarray(values, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise InsufficientDataError("need at least 2 values to standardize")
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("values must be finite")
-    d = x - x.mean()
-    d -= d.mean()
-    sd = math.sqrt(float(d @ d) / (x.size - 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        d, sd = _centered(x)
+    if not 0.0 < sd < math.inf:
+        d, sd = _centered(_unit_scaled(x)[0])
     if sd == 0.0:
         raise DegenerateSeriesError("zero variance: z-scores are undefined")
     return d / sd
+
+
+def _centered(x):
+    """x centered twice, and its sample sd."""
+    d = x - x.mean()
+    d -= d.mean()
+    return d, math.sqrt(float(d @ d) / (x.size - 1))

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import statistics
 import warnings
 
 import numpy as np
@@ -427,6 +428,43 @@ class TestStatsAndStandardize:
         assert "aggregated by mean" in err
         assert strict_json(out)["n"] == 3
         assert strict_json(out)["mean"] == (math.log(1e308) + math.log(2.0)) / 3
+
+    def test_stats_of_huge_values(self, capsys, tmp_path):
+        # the deviations' squares overflowed: four numpy warnings, sd inf and
+        # skewness NaN (null in JSON)
+        path = tmp_path / "s.csv"
+        path.write_text("t,value\n1,1e308\n1,1e308\n2,5\n3,7\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "stats", "--input", str(path), "--format", "json"
+            )
+        assert code == EXIT_OK
+        assert "Warning" not in err
+        payload = strict_json(out)
+        sd = statistics.stdev([1e308, 5.0, 7.0])
+        assert payload["sd"] == pytest.approx(sd, rel=1e-15)
+        assert payload["skewness"] == pytest.approx(math.sqrt(3.0), rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            # z was 0.0, -0.0, -0.0: a plausible wrong answer
+            ("1,1e308\n1,1e308\n2,5\n3,7\n", [2 / 3**0.5, -(3**-0.5), -(3**-0.5)]),
+            # the sum overflowed: every z was nan
+            ("1,1e308\n2,1.5e308\n3,7\n", [0.2182178902359924, 0.8728715609439694,
+                                            -1.0910894511799618]),
+        ],
+    )
+    def test_standardize_huge_values(self, capsys, tmp_path, rows, expected):
+        path = tmp_path / "s.csv"
+        path.write_text("t,value\n" + rows, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "standardize", "--input", str(path))
+        assert code == EXIT_OK
+        zs = [float(line.split(",")[1]) for line in out.strip().splitlines()[1:]]
+        np.testing.assert_allclose(zs, expected, rtol=1e-14)
 
     def test_standardize(self, capsys, tmp_path):
         path = write_series(tmp_path, "s.csv", [1, 2, 3], [1.0, 2.0, 3.0])

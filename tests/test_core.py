@@ -62,6 +62,38 @@ class TestTechSeries:
         s = TechSeries.from_columns("x", "host", "", [1, 2], [2.0, 4.0])
         np.testing.assert_allclose(s.scaled(0.5).values, [1.0, 2.0])
 
+    @pytest.mark.parametrize(
+        "times, values, message",
+        [
+            *(
+                (t, [1.0, 2.0, 3.0], "non-finite time value")
+                for bad in (math.nan, math.inf, -math.inf)
+                for t in ([bad, 2, 3], [1, bad, 3], [1, 2, bad], [3, bad, 1])
+            ),
+            ([1, 3, 2], [1.0, 2.0, 3.0], "strictly increasing"),
+            ([1, 2, 2], [1.0, 2.0, 3.0], "strictly increasing"),
+            ([-0.0, 0.0], [1.0, 2.0], "strictly increasing"),
+            ([1, math.nan], [0.0, 2.0], "non-finite time value"),
+            ([2, 1], [math.nan, 2.0], "strictly increasing"),
+            *(
+                ([1, 2, 3], v, "every value must be a finite positive real")
+                for bad in (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0)
+                for v in ([bad, 2.0, 3.0], [1.0, bad, 3.0], [1.0, 2.0, bad])
+            ),
+        ],
+    )
+    def test_which_message_fires(self, times, values, message):
+        # non-finite times are named before their order, and both before
+        # the values
+        with pytest.raises(InvalidInputError, match=message):
+            TechSeries("x", "host", "", times, values)
+
+    def test_single_point_and_extreme_values_are_accepted(self):
+        # the times' difference overflows; numpy warned while checking it
+        s = TechSeries("x", "host", "", [-1e308, 1e308], [5e-324, 1.7e308])
+        assert s.n == 2
+        assert TechSeries("x", "host", "", [-0.0], [1.0]).n == 1
+
 
 class TestClassifyPoint:
     @pytest.mark.parametrize(

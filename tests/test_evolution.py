@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from parasitech import (
     CollinearityError,
@@ -16,6 +18,7 @@ from parasitech import (
     fit_evolution_multi,
     logistic_value,
 )
+from parasitech.evolution import _align
 from conftest import make_series
 
 
@@ -82,6 +85,53 @@ class TestAlignByYear:
         (listwise,) = build_report(h, [p1, p2], multi=True).multi_fits
         assert listwise.years_used == (3.0, 4.0, 5.0, 6.0)
         assert listwise.n_listwise == 4
+
+
+# strictly increasing times: distinct floats from a pool with overlaps,
+# -0.0 and 0.0 (equal, so never both in one series), subnormals and extremes
+POOL = [-1e308, -3.5, -1.0, -0.0, 0.0, 5e-324, 1e-300, 0.5, 1.0, 1950.0,
+        1950.5, 1951.0, 1.7976931348623157e308]
+TIMES = st.lists(
+    st.one_of(st.sampled_from(POOL), st.floats(-1e6, 1e6)), min_size=1,
+    max_size=12, unique=True,
+).map(sorted)
+
+
+def intersect_reference(times):
+    """The years and the index into each series, by chained np.intersect1d."""
+    years, picks = np.asarray(times[0], float), [np.arange(len(times[0]))]
+    for t in times[1:]:
+        years, kept, idx = np.intersect1d(
+            years, np.asarray(t, float), assume_unique=True, return_indices=True
+        )
+        picks = [p[kept] for p in picks] + [idx]
+    return years, picks
+
+
+class TestAlignIntersection:
+    @given(st.lists(TIMES, min_size=2, max_size=3))
+    @example([[0.0, 1.0], [-0.0, 1.0]])
+    @example([[-0.0, 2.0], [0.0, 2.0], [-1.0, 0.0, 2.0]])
+    @example([[1.0, 2.0], [3.0, 4.0]])
+    @example([[1950.0, 1951.0], [1950.0, 1951.0]])
+    @example([[1950.0], [1950.0]])
+    @example([[1950.0], [1951.0]])
+    def test_equals_intersect1d(self, times):
+        # distinct values per series, so each log column names its indices
+        series = [
+            make_series(f"s{i}", t, np.arange(1.0, len(t) + 1))
+            for i, t in enumerate(times)
+        ]
+        years, picks = intersect_reference(times)
+        if not years.size:
+            with pytest.raises(NoOverlapError):
+                _align(series)
+            return
+        got_years, columns = _align(series)
+        assert got_years.tolist() == years.tolist()
+        np.testing.assert_array_equal(np.signbit(got_years), np.signbit(years))
+        for s, column, pick in zip(series, columns, picks):
+            np.testing.assert_array_equal(column, np.log(s.values)[pick])
 
 
 class TestFitEvolution:

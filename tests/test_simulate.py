@@ -174,6 +174,43 @@ class TestSimulatePair:
         config = early_config(noise_sigma=0.05, missing_prob=0.1)
         assert simulate_pair(config) == simulate_pair(config)
 
+    def test_one_seed_pass_draws_numpys_streams(self, monkeypatch):
+        # every series' PCG64 state in one pass, every series in one draw
+        calls = []
+        for name in ("_draw", "_pcg_states"):
+            f = getattr(simulate, name)
+            monkeypatch.setattr(
+                simulate, name, lambda *a, f=f, name=name: calls.append(name) or f(*a)
+            )
+        config = early_config(
+            parasites=(PARASITE_LAW, SIBLING_LAW), noise_sigma=0.05, missing_prob=0.2,
+            seed=2**64 - 1,
+        )
+        host, parasites = simulate_pair(config)
+        assert calls == ["_draw", "_pcg_states"]
+        grid = config.grid()
+        laws = (config.host, *config.parasites)
+        for i, (law, s) in enumerate(zip(laws, (host, *parasites))):
+            entropy = np.random.SeedSequence([config.seed, 0, i])
+            rng = np.random.default_rng(int(entropy.generate_state(1, np.uint64)[0]))
+            z = rng.standard_normal(grid.size)
+            keep = rng.random(grid.size) >= 0.2
+            np.testing.assert_array_equal(s.times, grid[keep])
+            np.testing.assert_array_equal(
+                s.values, (logistic_value(law, grid) * np.exp(0.05 * z))[keep]
+            )
+
+    @pytest.mark.parametrize("huge", ["host", "parasite2"])
+    def test_overflow_names_the_first_series_it_reaches(self, huge):
+        big = LogisticParams(k=1.79e308, a=-50.0, b=0.05)
+        laws = dict(host=HOST_LAW, parasites=(PARASITE_LAW, SIBLING_LAW))
+        if huge == "host":
+            laws = dict(host=big, parasites=(PARASITE_LAW, big))
+        else:
+            laws["parasites"] = (PARASITE_LAW, big)
+        with pytest.raises(InvalidInputError, match=f"series '{huge}'"):
+            simulate_pair(early_config(noise_sigma=0.03, **laws))
+
 
 # 64-bit seeds, with the boundaries where numpy's entropy grows a word
 SEEDS = st.one_of(
@@ -340,13 +377,30 @@ class TestMonteCarloRecovery:
         summary = monte_carlo_recovery(config, 30, early_phase_only)
         assert summary == recovery_reference(config, 30, early_phase_only)
 
-    @pytest.mark.parametrize("replicates", [1, 3, 7])
-    def test_seed_blocks_equal_the_reference(self, monkeypatch, replicates):
-        # blocks of 3: one short block, one whole block, and a remainder
+    @pytest.mark.parametrize(
+        "replicates, n_points",
+        [pytest.param(r, 44, id=str(r)) for r in (1, 3, 7)]
+        + [pytest.param(3, 50_000, id="3-on-50000-points")],
+    )
+    def test_seed_blocks_equal_the_reference(self, monkeypatch, replicates, n_points):
+        # blocks of 3: one short block, one whole block, and a remainder; on
+        # 50,000 points the bound on numbers drawn per pass leaves one
+        # replicate per block
         monkeypatch.setattr(simulate, "_SEED_BLOCK", 3)
-        config = early_config(noise_sigma=0.03, missing_prob=0.1, seed=2**64 - 1)
+        passes, draw = [], simulate._draw
+        monkeypatch.setattr(
+            simulate, "_draw",
+            lambda *args: passes.append(args[-1].shape) or draw(*args),
+        )
+        config = early_config(
+            noise_sigma=0.03, missing_prob=0.1, seed=2**64 - 1, n_points=n_points
+        )
         summary = monte_carlo_recovery(config, replicates)
         assert summary == recovery_reference(config, replicates)
+        rows = [r for r, n_series in passes]
+        assert sum(rows) == replicates
+        assert max(rows) * 2 * n_points <= max(simulate._DRAW_BLOCK, 2 * n_points)
+        assert max(rows) == (min(3, replicates) if n_points == 44 else 1)
 
     def test_failing_scenario_equals_the_reference(self):
         config = early_config(n_points=5, missing_prob=0.6, seed=3)

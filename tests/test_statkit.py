@@ -1,4 +1,6 @@
+import fractions
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -67,6 +69,27 @@ class TestOlsSimple:
     def test_constant_x_rejected(self):
         with pytest.raises(SingularDesignError):
             ols_simple([2, 2, 2, 2], [1, 2, 3, 4])
+
+    @pytest.mark.parametrize(
+        "x", [[0.1] * 3, [0.0, -0.0, 0.0], [5e-324] * 4, [-1e308] * 3, [1950.0] * 44]
+    )
+    def test_constant_finite_x_is_singular(self, x):
+        with pytest.raises(SingularDesignError, match="x is constant"):
+            ols_simple(x, np.arange(1.0, len(x) + 1))
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            ([math.nan, 1, 2, 3], [1, 2, 3, 5]),
+            ([1, 2, 3, 4], [1, math.nan, 3, 5]),
+            ([2, 2, math.nan, 2], [1, 2, 3, 4]),
+            ([math.nan] * 3, [1, 2, 3]),
+        ],
+    )
+    def test_nan_input_fails_the_f_test(self, x, y):
+        # NaN is not constant: the fit runs and its NaN F statistic is refused
+        with pytest.raises(InvalidInputError, match="must be nonnegative, got nan"):
+            ols_simple(x, y)
 
     def test_too_few_points(self):
         with pytest.raises(InsufficientDataError):
@@ -321,6 +344,37 @@ class TestDescriptive:
         with pytest.raises(InsufficientDataError):
             descriptive([])
 
+    def test_huge_values_do_not_overflow(self):
+        # the deviations' squares and cubes overflowed: sd inf, skewness nan
+        d = descriptive([1e308, 5.0, 7.0])
+        assert d.mean == pytest.approx((1e308 + 12.0) / 3, rel=1e-15)
+        assert d.sd == statistics.stdev([1e308, 5.0, 7.0])
+        assert d.skewness == pytest.approx(math.sqrt(3.0), rel=1e-15)
+        # the sum overflowed too: mean inf
+        values = [1e308, 1.5e308, 7.0, 1.2e308]
+        d = descriptive(values)
+        o = moments_brute([math.ldexp(v, -1024) for v in values])
+        exact_mean = statistics.mean(fractions.Fraction(v) for v in values)
+        assert d.mean == pytest.approx(float(exact_mean), rel=1e-15)
+        assert d.sd == pytest.approx(math.ldexp(o["sd"], 1024), rel=1e-15)
+        assert d.skewness == pytest.approx(o["skewness"], rel=1e-13)
+        assert d.kurtosis == pytest.approx(o["kurtosis"], rel=1e-13)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150, 1e-200])
+    def test_spread_whose_powers_leave_the_floats(self, scale):
+        # m2**1.5 overflowed (OverflowError) or underflowed (ZeroDivisionError);
+        # at 1e-200 the squares underflowed to sd 0
+        d = descriptive([scale, 2 * scale, 4 * scale])
+        unit = descriptive([1.0, 2.0, 4.0])
+        sd = statistics.stdev([1.0, 2.0, 4.0]) * scale
+        assert d.sd == pytest.approx(sd, rel=1e-15)
+        assert d.skewness == pytest.approx(unit.skewness, rel=1e-14)
+
+    def test_sd_beyond_the_floats_is_inf(self):
+        d = descriptive([-1.7e308, 1.7e308])
+        assert d.mean == 0.0
+        assert d.sd == math.inf
+
 
 class TestPearson:
     def test_identity(self):
@@ -383,6 +437,27 @@ class TestZscore:
             x = rng.normal(size=30)
             c, d = float(rng.uniform(0.1, 10)), float(rng.uniform(-5, 5))
             np.testing.assert_allclose(zscore(c * x + d), zscore(x), atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "values",
+        [[1e308, 5.0, 7.0], [1e308, 1.5e308, 7.0], [1e150, 2e150, 4e150],
+         [1e-200, 2e-200, 4e-200], [5e-324, 1e-323]],
+    )
+    def test_extreme_values_are_standardized(self, values):
+        # huge values gave 0.0, -0.0, -0.0 or NaN; tiny ones a zero variance.
+        # The oracle works on the exact values over their maximum.
+        exact = [fractions.Fraction(v) for v in values]
+        unit = [v / max(exact) for v in exact]
+        mean = sum(unit) / len(unit)
+        sd = math.sqrt(sum((v - mean) ** 2 for v in unit) / (len(unit) - 1))
+        expected = [float(v - mean) / sd for v in unit]
+        np.testing.assert_allclose(zscore(values), expected, rtol=1e-14)
+
+    @pytest.mark.parametrize("values", [[1e308, 1e308], [5e-324] * 3, [0.0, -0.0]])
+    def test_constant_extremes_are_degenerate(self, values):
+        # two 1e308 overflowed the mean and gave NaN z-scores
+        with pytest.raises(DegenerateSeriesError):
+            zscore(values)
 
     def test_degenerate(self):
         with pytest.raises(DegenerateSeriesError):
