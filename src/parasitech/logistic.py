@@ -154,15 +154,15 @@ def k_search_bracket(series: TechSeries, k_max_factor: float) -> tuple[float, fl
 
 def _logit_r2(series: TechSeries):
     """K -> ``ols_simple(*logit_transform(series, K)).r2`` for K in the
-    search bracket, with the sums over t formed once and only R^2 built."""
-    t, values = series.times, series.values
-    t_mean = t.mean()
-    dt = t - t_mean
-    stt = float(dt @ dt)
+    search bracket, with the sums over t formed once and only R^2 built.
+    R^2 does not depend on t's scale, so t is fitted as ``ols_simple``
+    fits it."""
+    values = series.values
+    t, t_sums, _ = statkit._fit_x(series.times)
 
     def r2_at(k: float) -> float:
         y = np.log((k - values) / values)
-        _, _, sse, sst = statkit._line(t, y, t_mean, dt, stt)
+        _, _, sse, sst = statkit._line(t, y, *t_sums)
         return statkit._r2(sse, sst)
 
     return r2_at

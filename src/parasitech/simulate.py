@@ -26,8 +26,8 @@ import numpy as np
 
 from . import statkit
 from .core import TechSeries
-from .errors import HarnessError, InvalidInputError, ParasitechError
-from .evolution import fit_evolution
+from .errors import HarnessError, InvalidInputError
+from .evolution import fit_evolution  # noqa: F401 (perfbench/selftest.py reads it here)
 from .logistic import LogisticParams, logistic_value
 
 # Tags keeping series-level and replicate-level seed streams disjoint.
@@ -77,10 +77,7 @@ class SimConfig:
             )
         if not (self.t_start < self.t_end):
             raise InvalidInputError("t_start must be strictly below t_end")
-        n = self.n_points
-        if not (isinstance(n, numbers.Real) and float(n).is_integer()):
-            raise InvalidInputError(f"n_points must be an integer, got {n!r}")
-        object.__setattr__(self, "n_points", int(n))
+        object.__setattr__(self, "n_points", _check_integer(self.n_points, "n_points"))
         if self.n_points < 4:
             raise InvalidInputError(f"n_points must be >= 4, got {self.n_points}")
         if not (self.noise_sigma >= 0 and math.isfinite(self.noise_sigma)):
@@ -119,6 +116,12 @@ class RecoverySummary:
     coverage_95: float
     failures: int
     perfect_fits: int
+
+
+def _check_integer(value, what: str) -> int:
+    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise InvalidInputError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _check_seed(value, what: str = "seed") -> int:
@@ -335,12 +338,16 @@ def monte_carlo_recovery(
     parasite as ``simulate_pair`` would (the other parasites are not drawn),
     optionally keeps only the early-phase window (both values below
     ``EARLY_PHASE_FRACTION`` of their equilibria, judged on the true laws),
-    and fits the log-log evolution model. Replicate fit failures are
-    counted, not fatal; if every replicate fails the harness errors out.
+    and fits the log-log evolution model. The replicates of a seed block
+    are fitted in one array pass, with results identical to building both
+    series and calling ``fit_evolution`` on each. A replicate fails where
+    that would raise; failures are counted, not fatal, but if every
+    replicate fails the harness errors out.
 
     The power law only holds as a small-value approximation, so full-curve
     sampling (early_phase_only=False) exhibits systematic bias by design.
     """
+    replicates = _check_integer(replicates, "replicates")
     if replicates < 1:
         raise InvalidInputError(f"replicates must be >= 1, got {replicates}")
     target = config.parasites[0]
@@ -349,50 +356,45 @@ def monte_carlo_recovery(
     grid = config.grid()
     t_cut = min(early_phase_cutoff(config.host), early_phase_cutoff(target))
     window = grid <= t_cut if early_phase_only else True
-    laws = (("host", "host"), ("parasite1", "parasite"))
     curves = np.array([logistic_value(config.host, grid), logistic_value(target, grid)])
     block = max(1, min(_SEED_BLOCK, _DRAW_BLOCK // curves.size))
 
-    estimates: list[float] = []
-    covered = 0
-    usable_cis = 0
-    failures = 0
-    perfect = 0
-    sigma, p_missing = config.noise_sigma, config.missing_prob
+    # per replicate, the slope and the half-width of its 95% CI: NaN if not fitted
+    b, half = np.full((2, replicates), math.nan)
     for start in range(0, replicates, block):
         # series i of replicate r draws as simulate_pair on r's seed would
         masters = _derive(config.seed, _REPLICATE_STREAM,
                           np.arange(start, min(start + block, replicates)))
-        series = np.tile(np.arange(len(laws)), masters.size)
-        seeds = _derive(masters.repeat(len(laws)), _SERIES_STREAM, series)
-        seeds = seeds.reshape(-1, len(laws))
-        keep, values, overflow = _draw(curves, sigma, p_missing, seeds)
+        series = np.tile(np.arange(len(curves)), masters.size)
+        seeds = _derive(masters.repeat(len(curves)), _SERIES_STREAM, series)
+        seeds = seeds.reshape(-1, len(curves))
+        keep, values, overflow = _draw(curves, config.noise_sigma,
+                                       config.missing_prob, seeds)
         keep &= window
-        for rows in zip(keep, values, overflow):
-            try:
-                fit = fit_evolution(*(
-                    _kept(name, role, "fmt", grid, *row, sigma)
-                    for (name, role), *row in zip(laws, *rows)
-                ))
-            except ParasitechError:
-                failures += 1
-                continue
-            estimates.append(fit.b)
-            se = fit.regression.standard_errors[1]
-            if se > 0:
-                usable_cis += 1
-                half = statkit.t_critical(0.05, fit.n_paired - 2) * se
-                if abs(fit.b - true_b) <= half:
-                    covered += 1
-            else:
-                perfect += 1
+        # a replicate is fitted where its two series build (no noise overflow,
+        # no kept 0 where a law underflows) and share at least 4 years
+        shared = keep.all(axis=1)
+        n_shared = shared.sum(axis=-1)
+        fits = ~overflow.any(axis=1) & (keep <= (values > 0)).all(axis=(1, 2))
+        for m in np.unique(n_shared[fits & (n_shared >= 4)]).tolist():
+            rows = np.flatnonzero(fits & (n_shared == m))
+            logs = np.log(values[rows].swapaxes(0, 1)[:, shared[rows]])
+            log_h, log_p = logs.reshape(2, -1, m)
+            varied = log_h.max(axis=-1) > log_h.min(axis=-1)  # else x is constant
+            slope, se = statkit._slopes(log_h[varied], log_p[varied])
+            rows = start + rows[varied]
+            b[rows], half[rows] = slope, statkit.t_critical(0.05, m - 2) * se
 
-    if not estimates:
+    fitted = np.isfinite(b) & (half != math.inf)  # where fit_evolution returns
+    b, half = b[fitted], half[fitted]
+    if not b.size:
         raise HarnessError(
             f"all {replicates} replicates failed to fit; check the scenario"
         )
-
-    est = np.sort(np.array(estimates))
+    usable = half > 0  # the others are perfect fits
+    usable_cis = int(usable.sum())
+    covered = int((np.abs(b - true_b) <= half)[usable].sum())
+    est = np.sort(b)
     bias = float(est.mean() - true_b)
     rmse = float(math.sqrt(np.mean((est - true_b) ** 2)))
     coverage = covered / usable_cis if usable_cis > 0 else math.nan
@@ -403,6 +405,6 @@ def monte_carlo_recovery(
         bias=bias,
         rmse=rmse,
         coverage_95=float(coverage),
-        failures=failures,
-        perfect_fits=perfect,
+        failures=replicates - est.size,
+        perfect_fits=est.size - usable_cis,
     )

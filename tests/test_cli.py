@@ -293,6 +293,27 @@ class TestFitLogisticCommand:
         assert last_t == 60.0
         assert abs(last_v - 100.0 / (1.0 + math.exp(5.0 - 0.25 * 60.0))) < 0.5
 
+    @pytest.mark.parametrize("e", [665, -665])
+    def test_times_whose_sums_leave_the_floats(self, capsys, tmp_path, e):
+        # at 2**665 (about 1e200) four numpy warnings preceded a FIT_ERROR that
+        # called the slope nonnegative; at 2**-665 the K search raised a
+        # ZeroDivisionError, a traceback
+        t = np.arange(1.0, 6.0)
+        fits = []
+        for name, times in (("unit.csv", t), ("scaled.csv", np.ldexp(t, e))):
+            path = write_series(tmp_path, name, times, [1.0, 2.0, 4.0, 7.0, 9.0])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_cli(
+                    capsys, "fit-logistic", "--input", str(path), "--format", "json"
+                )
+            assert (code, err) == (EXIT_OK, "")
+            fits.append(strict_json(out))
+        unit, scaled = fits
+        for key in ("k", "a", "r2_logit"):
+            assert scaled[key] == unit[key]
+        assert scaled["b"] == math.ldexp(unit["b"], -e)
+
     def test_decreasing_series_is_fit_error(self, capsys, tmp_path):
         path = write_series(
             tmp_path, "down.csv", [0, 1, 2, 3, 4], [10.0, 8.0, 6.0, 4.0, 2.0]

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parasitech import simulate
@@ -24,6 +24,8 @@ from oracles import recovery_reference
 HOST_LAW = LogisticParams(k=100.0, a=6.0, b=0.05)  # inflection at t=120
 PARASITE_LAW = LogisticParams(k=50.0, a=6.96, b=0.087)  # inflection at t=80
 SIBLING_LAW = LogisticParams(k=70.0, a=7.5, b=0.07)
+UNDERFLOWING_LAW = LogisticParams(k=50.0, a=760.0, b=17.6)  # 0.0 at t=0
+FLAT_LAW = LogisticParams(k=100.0, a=6.0, b=1e-20)  # one float on these grids
 
 
 def early_config(**overrides):
@@ -425,3 +427,62 @@ class TestMonteCarloRecovery:
     def test_replicates_validated(self):
         with pytest.raises(InvalidInputError):
             monte_carlo_recovery(early_config(), replicates=0)
+
+    @pytest.mark.parametrize("replicates", [2.5, np.float64(3.7), "3", None])
+    def test_non_integral_replicates_are_refused(self, replicates):
+        # 2.5 and 3.7 raised a bare TypeError
+        with pytest.raises(InvalidInputError, match="replicates must be an integer"):
+            monte_carlo_recovery(early_config(), replicates)
+
+    def test_integral_replicates_become_an_int(self):
+        # True gave a summary with replicates=True
+        cases = ((3.0, 3), (np.int64(3), 3), (np.float64(3.0), 3), (True, 1))
+        for value, count in cases:
+            summary = monte_carlo_recovery(early_config(), value)
+            assert type(summary.replicates) is int and summary.replicates == count
+            assert len(summary.estimates) == count
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_points=st.integers(4, 60),
+        t_end=st.sampled_from([43.0, 120.0]),
+        missing_prob=st.sampled_from([0.0, 0.1, 0.6]),
+        noise_sigma=st.sampled_from([0.0, 0.03, 0.3, 200.0, 1e3]),
+        early_phase_only=st.booleans(),
+        seed=SEEDS,
+        host=st.sampled_from([HOST_LAW, FLAT_LAW]),
+        target=st.sampled_from([PARASITE_LAW, HOST_LAW, UNDERFLOWING_LAW]),
+        replicates=st.integers(1, 12),
+    )
+    # every value overflows the floats: both sides fail every replicate
+    @example(n_points=44, t_end=43.0, missing_prob=0.0, noise_sigma=1e3,
+             early_phase_only=True, seed=1, host=HOST_LAW, target=PARASITE_LAW,
+             replicates=5)
+    # some replicates overflow only outside the early-phase window
+    @example(n_points=60, t_end=120.0, missing_prob=0.0, noise_sigma=200.0,
+             early_phase_only=True, seed=3, host=HOST_LAW, target=PARASITE_LAW,
+             replicates=12)
+    # the replicates that keep the parasite's 0.0 at t=0 fail
+    @example(n_points=44, t_end=43.0, missing_prob=0.6, noise_sigma=0.03,
+             early_phase_only=True, seed=5, host=HOST_LAW, target=UNDERFLOWING_LAW,
+             replicates=12)
+    # a noiseless flat host is constant: every replicate fails
+    @example(n_points=10, t_end=43.0, missing_prob=0.1, noise_sigma=0.0,
+             early_phase_only=False, seed=7, host=FLAT_LAW, target=PARASITE_LAW,
+             replicates=3)
+    def test_block_fit_equals_the_reference(self, n_points, t_end, missing_prob,
+                                            noise_sigma, early_phase_only, seed,
+                                            host, target, replicates):
+        # σ 200 overflows some replicates, σ 1e3 all; 60% dropout leaves some
+        # with fewer than 4 shared years; identical laws fit perfectly at σ 0
+        config = early_config(host=host, parasites=(target,), n_points=n_points,
+                              t_end=t_end,
+                              missing_prob=missing_prob, noise_sigma=noise_sigma,
+                              seed=seed)
+        outcomes = []
+        for recover in (monte_carlo_recovery, recovery_reference):
+            try:
+                outcomes.append(repr(recover(config, replicates, early_phase_only)))
+            except HarnessError:
+                outcomes.append("HarnessError")
+        assert outcomes[0] == outcomes[1]

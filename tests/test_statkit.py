@@ -1,11 +1,13 @@
 import fractions
 import math
 import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.stats
 
+from parasitech import statkit
 from parasitech import (
     CollinearityError,
     DegenerateSeriesError,
@@ -95,6 +97,42 @@ class TestOlsSimple:
         with pytest.raises(InsufficientDataError):
             ols_simple([1, 2], [1, 2])
 
+    @pytest.mark.parametrize(
+        "x, e",
+        [
+            # the squared deviations overflowed: SEs (nan, 0.0) after warnings
+            ([1.0, 2.0, 3.0, 4.0], 700),
+            # they underflowed to 0: a ZeroDivisionError
+            ([1.0, 2.0, 3.0, 4.0], -700),
+            # the squared mean overflowed: an infinite intercept SE
+            ([2.0**40 + k for k in range(1, 5)], 490),
+        ],
+    )
+    def test_x_whose_sums_leave_the_floats(self, x, e):
+        # x * 2**e is fitted as x is; only the slope and its SE scale
+        y = [1.0, 2.0, 4.0, 3.0]
+        fit = ols_simple(x, y)
+        (a, b), (se_a, se_b) = fit.coefficients, fit.standard_errors
+        expected = replace(
+            fit,
+            coefficients=(a, math.ldexp(b, -e)),
+            standard_errors=(se_a, math.ldexp(se_b, -e)),
+        )
+        assert repr(ols_simple(np.ldexp(x, e), y)) == repr(expected)
+
+    def test_huge_x_keeps_its_standard_errors(self):
+        r = ols_simple([1e200, 2e200, 3e200, 4e200], [1, 2, 4, 3])
+        unit = ols_simple([1, 2, 3, 4], [1, 2, 4, 3])
+        assert r.standard_errors[0] == pytest.approx(unit.standard_errors[0], rel=1e-14)
+        assert r.standard_errors[1] == pytest.approx(
+            unit.standard_errors[1] * 1e-200, rel=1e-14
+        )
+
+    def test_slope_beyond_the_floats_is_refused(self):
+        x = np.ldexp([1.0, 2.0, 3.0, 4.0], -1000)
+        with pytest.raises(InvalidInputError, match="slope of y on x overflows"):
+            ols_simple(x, [1e150, 0.0, 2e150, 1e150])
+
     def test_r2_equals_squared_correlation(self, rng):
         for _ in range(20):
             n = int(rng.integers(5, 30))
@@ -127,6 +165,27 @@ class TestOlsSimple:
         np.testing.assert_allclose(
             r.p_values[1], t_two_sided_quad(r.t_stats[1], 10), atol=1e-9
         )
+
+
+class TestLineStack:
+    def test_stack_equals_its_rows(self, rng):
+        # the recovery harness fits a block of replicates as one stack; each
+        # row must be fitted bit for bit as ols_simple fits it alone
+        for _ in range(40):
+            rows, n = int(rng.integers(1, 20)), int(rng.integers(3, 80))
+            x = rng.normal(size=(rows, n)) * 10.0 ** rng.uniform(-3, 3, (rows, 1))
+            y = rng.normal(size=(rows, n)) + rng.normal(size=(rows, 1)) * x
+            sums = statkit._x_sums(x)
+            stack = sums + statkit._line(x, y, *sums)
+            slopes, ses = statkit._slopes(x, y)
+            for r in range(rows):
+                alone = statkit._x_sums(x[r])
+                alone += statkit._line(x[r], y[r], *alone)
+                for got, want in zip(stack, alone):
+                    assert np.asarray(got[r]).tobytes() == np.asarray(want).tobytes()
+                fit = ols_simple(x[r], y[r])
+                assert slopes[r] == fit.coefficients[1]
+                assert ses[r] == fit.standard_errors[1]
 
 
 class TestOlsMulti:
@@ -360,9 +419,10 @@ class TestDescriptive:
         assert d.skewness == pytest.approx(o["skewness"], rel=1e-13)
         assert d.kurtosis == pytest.approx(o["kurtosis"], rel=1e-13)
 
-    @pytest.mark.parametrize("scale", [1e150, 1e-150, 1e-200])
+    @pytest.mark.parametrize("scale", [1e150, 1e-105, 1e-150, 1e-200])
     def test_spread_whose_powers_leave_the_floats(self, scale):
-        # m2**1.5 overflowed (OverflowError) or underflowed (ZeroDivisionError);
+        # m2**1.5 overflowed (OverflowError), fell below the normal floats
+        # (skewness off by 8e-10 at 1e-105) or underflowed (ZeroDivisionError);
         # at 1e-200 the squares underflowed to sd 0
         d = descriptive([scale, 2 * scale, 4 * scale])
         unit = descriptive([1.0, 2.0, 4.0])
