@@ -11,7 +11,7 @@ The sub-seeds and the streams drawn from them are numpy's: the sub-seed of
 of the entropy [master, stream, index], and a series drawn from seed s gets
 the numbers of numpy's PCG64 seeded with s. Both are computed here, bit for
 bit, rather than by numpy's per-seed objects, so that a block of replicates
-is seeded, and drawn, in one array pass.
+is seeded in one array pass, and drawn with one generator fill per series.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from .logistic import LogisticParams, logistic_value
 _SERIES_STREAM = 0
 _REPLICATE_STREAM = 1
 
-# Replicates seeded, and numbers drawn, per array pass: they bound its
-# scratch memory (about 1 MB), with at least one replicate per pass.
+# Replicates seeded, and numbers drawn, per block: they bound its
+# scratch memory (about 1 MB), with at least one replicate per block.
 _SEED_BLOCK = 1024
 _DRAW_BLOCK = 2**15
 
@@ -256,27 +256,27 @@ def _draw(curves, noise_sigma, missing_prob, seeds):
     """Draw a block of replicates around the true ``curves`` (series x n).
 
     ``seeds`` holds one PCG64 seed per (replicate, series); each series
-    draws its n normals z, then its n uniforms u, as numpy's
-    ``default_rng(seed)`` would, into one row of a (replicates, series, n)
-    array. Returns the kept mask u >= missing_prob, the values
+    draws its n normals z, then (with dropouts only) its n uniforms u, as
+    numpy's ``default_rng(seed)`` would, with one generator fill each into a
+    row of a (replicates, series, n) array. Returns the kept mask
+    u >= missing_prob (all true without dropouts), the values
     ``curves * exp(noise_sigma * z)`` and, per (replicate, series), whether
     the noise drives a kept value out of the positive floats.
     """
     z = np.empty(seeds.shape + curves.shape[-1:])
-    u = np.empty_like(z)
+    z_rows = z.reshape(seeds.size, -1)
+    u_rows = np.empty_like(z_rows) if missing_prob > 0 else None
     gen = np.random.Generator(np.random.PCG64())  # re-seeded for every series
-    rows = zip(_pcg_states(seeds.ravel()), z.reshape(seeds.size, -1),
-               u.reshape(seeds.size, -1))
-    for (state, inc), z_row, u_row in rows:
-        gen.bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        gen.standard_normal(out=z_row)
-        gen.random(out=u_row)
-    keep = u >= missing_prob
+    bits, normal, uniform = gen.bit_generator, gen.standard_normal, gen.random
+    pcg = {}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    for i, (pcg["state"], pcg["inc"]) in enumerate(_pcg_states(seeds.ravel())):
+        bits.state = state
+        normal(out=z_rows[i])
+        if u_rows is not None:
+            uniform(out=u_rows[i])
+    keep = (np.ones(z.shape, bool) if u_rows is None
+            else u_rows.reshape(z.shape) >= missing_prob)
     if not noise_sigma > 0:
         return keep, np.broadcast_to(curves, z.shape), np.zeros(seeds.shape, bool)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
@@ -378,9 +378,9 @@ def monte_carlo_recovery(
         fits = ~overflow.any(axis=1) & (keep <= (values > 0)).all(axis=(1, 2))
         for m in np.unique(n_shared[fits & (n_shared >= 4)]).tolist():
             rows = np.flatnonzero(fits & (n_shared == m))
-            logs = np.log(values[rows].swapaxes(0, 1)[:, shared[rows]])
-            log_h, log_p = logs.reshape(2, -1, m)
-            varied = log_h.max(axis=-1) > log_h.min(axis=-1)  # else x is constant
+            log_h, log_p = (np.log(values[rows, i][shared[rows]]).reshape(-1, m)
+                            for i in (0, 1))
+            varied = (log_h != log_h[:, :1]).any(axis=-1)  # else x is constant
             slope, se = statkit._slopes(log_h[varied], log_p[varied])
             rows = start + rows[varied]
             b[rows], half[rows] = slope, statkit.t_critical(0.05, m - 2) * se
@@ -396,12 +396,14 @@ def monte_carlo_recovery(
     covered = int((np.abs(b - true_b) <= half)[usable].sum())
     est = np.sort(b)
     bias = float(est.mean() - true_b)
-    rmse = float(math.sqrt(np.mean((est - true_b) ** 2)))
+    # scaled by a power of two, so the squares cannot overflow
+    dev, e = statkit._unit_scaled(est - true_b)
+    rmse = float(np.ldexp(math.sqrt(np.mean(dev**2)), e))
     coverage = covered / usable_cis if usable_cis > 0 else math.nan
     return RecoverySummary(
         replicates=replicates,
         true_b=float(true_b),
-        estimates=tuple(float(e) for e in est),
+        estimates=tuple(est.tolist()),
         bias=bias,
         rmse=rmse,
         coverage_95=float(coverage),

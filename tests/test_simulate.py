@@ -1,4 +1,8 @@
 import math
+import warnings
+from collections import Counter
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +30,25 @@ PARASITE_LAW = LogisticParams(k=50.0, a=6.96, b=0.087)  # inflection at t=80
 SIBLING_LAW = LogisticParams(k=70.0, a=7.5, b=0.07)
 UNDERFLOWING_LAW = LogisticParams(k=50.0, a=760.0, b=17.6)  # 0.0 at t=0
 FLAT_LAW = LogisticParams(k=100.0, a=6.0, b=1e-20)  # one float on these grids
+STEEP_LAW = LogisticParams(k=100.0, a=6.0, b=17.6)  # exactly K from t=3 on
+
+
+@pytest.fixture
+def fills(monkeypatch):
+    """Counts of the normal and uniform fills of every numpy Generator made."""
+    counts = Counter()
+
+    class CountingGenerator(np.random.Generator):
+        def standard_normal(self, *args, **kwargs):
+            counts["standard_normal"] += 1
+            return super().standard_normal(*args, **kwargs)
+
+        def random(self, *args, **kwargs):
+            counts["random"] += 1
+            return super().random(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Generator", CountingGenerator)
+    return counts
 
 
 def early_config(**overrides):
@@ -202,6 +225,17 @@ class TestSimulatePair:
                 s.values, (logistic_value(law, grid) * np.exp(0.05 * z))[keep]
             )
 
+    @pytest.mark.parametrize("missing_prob, uniform_fills", [(0.0, 0), (0.2, 3)])
+    def test_uniforms_are_drawn_only_with_dropouts(self, fills, missing_prob,
+                                                   uniform_fills):
+        # without dropouts every point is kept, so no uniform is drawn
+        config = early_config(parasites=(PARASITE_LAW, SIBLING_LAW),
+                              noise_sigma=0.05, missing_prob=missing_prob)
+        host, parasites = simulate_pair(config)
+        assert (fills["standard_normal"], fills["random"]) == (3, uniform_fills)
+        if not missing_prob:
+            assert host.n == parasites[0].n == parasites[1].n == config.n_points
+
     @pytest.mark.parametrize("huge", ["host", "parasite2"])
     def test_overflow_names_the_first_series_it_reaches(self, huge):
         big = LogisticParams(k=1.79e308, a=-50.0, b=0.05)
@@ -294,6 +328,33 @@ class TestMonteCarloRecovery:
         assert summary.failures == 0
         assert abs(summary.bias) < 1e-3
         assert len(summary.estimates) == 5
+
+    @pytest.mark.parametrize("missing_prob, uniform_fills", [(0.0, 0), (0.1, 400)])
+    def test_one_generator_fill_per_series(self, fills, missing_prob, uniform_fills):
+        # the recover benchmark's scenario: 200 replicates of host and
+        # parasite, 400 series, each one normal fill, and one uniform fill
+        # only with dropouts
+        config = early_config(noise_sigma=0.03, missing_prob=missing_prob, seed=42)
+        monte_carlo_recovery(config, 200)
+        assert (fills["standard_normal"], fills["random"]) == (400, uniform_fills)
+
+    def test_rmse_of_a_true_b_near_the_float_maximum(self):
+        # B = 0.087 / 1e-300 = 8.7e298: the squared deviations overflowed,
+        # with a RuntimeWarning, to rmse=inf
+        host = LogisticParams(k=100.0, a=6.0, b=1e-300)
+        config = early_config(host=host, noise_sigma=0.03)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary = monte_carlo_recovery(config, 20)
+        assert summary.failures == 0 and summary.true_b == 0.087 / 1e-300
+        true_b = Fraction(summary.true_b)
+        mean_square = sum((Fraction(e) - true_b) ** 2 for e in summary.estimates) / 20
+        with localcontext() as exact:
+            exact.prec = 40
+            oracle = float((Decimal(mean_square.numerator)
+                            / Decimal(mean_square.denominator)).sqrt())
+        assert math.isfinite(summary.rmse)
+        assert summary.rmse == pytest.approx(oracle, rel=1e-12)
 
     def test_noiseless_identical_laws_degenerate(self):
         # identical laws make the parasite array equal the host array, the
@@ -470,6 +531,12 @@ class TestMonteCarloRecovery:
     @example(n_points=10, t_end=43.0, missing_prob=0.1, noise_sigma=0.0,
              early_phase_only=False, seed=7, host=FLAT_LAW, target=PARASITE_LAW,
              replicates=3)
+    # one block fits rows of 7 to 10 shared years; among the 7-year rows,
+    # two have a constant host (t=0, the steep host's one value below K,
+    # dropped) and three do not
+    @example(n_points=10, t_end=43.0, missing_prob=0.1, noise_sigma=0.0,
+             early_phase_only=False, seed=1, host=STEEP_LAW, target=PARASITE_LAW,
+             replicates=12)
     def test_block_fit_equals_the_reference(self, n_points, t_end, missing_prob,
                                             noise_sigma, early_phase_only, seed,
                                             host, target, replicates):
