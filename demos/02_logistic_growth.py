@@ -20,7 +20,7 @@ true = LogisticParams(k=100.0, a=5.0, b=0.25)
 years = np.linspace(1950, 1990, 24)
 t = years - 1950
 observed = logistic_value(true, t) * np.exp(rng.normal(0, 0.04, t.size))
-series = TechSeries.from_columns("widget-efficiency", "host", "index", t, observed)
+series = TechSeries("widget-efficiency", "host", "index", t, observed)
 
 report = fit_logistic(series)
 p = report.params
@@ -38,7 +38,7 @@ for t_f, v in forecast_series(report, horizon):
 
 # Data sampled far from saturation carry no information about K: the
 # search then pins K against its upper bound and says so.
-early = TechSeries.from_columns(
+early = TechSeries(
     "early-phase", "host", "index", t[:10], logistic_value(true, t[:10])
 )
 early_fit = fit_logistic(early)

@@ -19,7 +19,7 @@ rng = np.random.default_rng(42)
 # a few war years are missing from the parasite record.
 years = np.arange(1920, 1964)
 host_values = np.exp(rng.uniform(0.5, 3.0, years.size))
-host = TechSeries.from_columns(
+host = TechSeries(
     "mechanical-efficiency", "host", "ratio", years, host_values
 )
 
@@ -27,7 +27,7 @@ keep = ~np.isin(years, [1942, 1943, 1944])
 parasite_values = (
     0.006 * host_values[keep] ** 1.7 * np.exp(rng.normal(0, 0.05, keep.sum()))
 )
-parasite = TechSeries.from_columns(
+parasite = TechSeries(
     "engine-efficiency", "parasite", "hp-hours", years[keep], parasite_values
 )
 

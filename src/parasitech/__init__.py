@@ -8,15 +8,15 @@ scale, and validate the whole chain on simulated ecosystems.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     EVOLUTION_SCALE,
-    GRADE_NAMES,
     BTest,
     EvolutionClass,
     TechSeries,
     classify_point,
     classify_with_test,
-    prediction_label,
 )
 from .errors import (
     CollinearityError,
@@ -45,7 +45,6 @@ from .evolution import (
     fit_evolution_multi,
 )
 from .io import (
-    ReportFormat,
     SeriesFile,
     emit_plot_data,
     parse_series_csv,
@@ -85,75 +84,9 @@ from .statkit import (
     zscore,
 )
 
-__all__ = [
-    "__version__",
-    # core
-    "TechSeries",
-    "EvolutionClass",
-    "BTest",
-    "EVOLUTION_SCALE",
-    "GRADE_NAMES",
-    "classify_point",
-    "classify_with_test",
-    "prediction_label",
-    # statkit
-    "RegressionResult",
-    "DescriptiveStats",
-    "CorrelationEntry",
-    "ols_simple",
-    "ols_multi",
-    "student_t_sf",
-    "f_sf",
-    "t_critical",
-    "descriptive",
-    "pearson",
-    "zscore",
-    "significance_stars",
-    # logistic
-    "LogisticParams",
-    "PowerLaw",
-    "LogisticFitReport",
-    "logistic_value",
-    "logit_transform",
-    "fit_logistic",
-    "derive_power_law",
-    "forecast_series",
-    # evolution
-    "EvolutionFit",
-    "MultiEvolutionFit",
-    "CorrelationMatrix",
-    "AnalysisReport",
-    "fit_evolution",
-    "fit_evolution_multi",
-    "correlation_matrix",
-    "build_report",
-    # simulate
-    "SimConfig",
-    "RecoverySummary",
-    "simulate_series",
-    "simulate_pair",
-    "monte_carlo_recovery",
-    # io
-    "SeriesFile",
-    "ReportFormat",
-    "parse_series_csv",
-    "write_series_csv",
-    "render_report",
-    "report_to_dict",
-    "emit_plot_data",
-    # errors
-    "ParasitechError",
-    "DataError",
-    "InvalidInputError",
-    "InsufficientDataError",
-    "SingularDesignError",
-    "CollinearityError",
-    "NoOverlapError",
-    "SeriesFormatError",
-    "EmptySeriesError",
-    "InvalidKError",
-    "DegenerateSeriesError",
-    "UndefinedCorrelationError",
-    "FitFailureError",
-    "HarnessError",
+# the public names the imports above bind, less the submodules they bind
+__all__ = ["__version__"] + [
+    name
+    for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

@@ -17,18 +17,20 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import TechSeries, classify_point, classify_with_test
+from .core import ROLES, TechSeries, classify_point, classify_with_test
 from .errors import FitFailureError, InvalidInputError, ParasitechError
 from .evolution import build_report, correlation_matrix
 from .io import (
     AGGREGATORS,
+    REPORT_FORMATS,
     _classification_dict,
-    _clean,
     _correlations_dict,
     _csv_text,
     _descriptive_dict,
     _json_text,
+    _logistic_fit_dict,
     _num,
+    _recovery_dict,
     _text_correlations,
     emit_plot_data,
     parse_series_csv,
@@ -41,7 +43,7 @@ from .logistic import (
     forecast_series,
     k_search_bracket,
 )
-from .simulate import SimConfig, monte_carlo_recovery, simulate_pair
+from .simulate import SimConfig, _check_integer, monte_carlo_recovery, simulate_pair
 from .statkit import descriptive, zscore
 
 EXIT_OK = 0
@@ -123,7 +125,7 @@ def _build_parser() -> _Parser:
         ),
     ):
         multi = name == "evolve-multi"
-        p = cmd(name, help_text, _cmd_evolve, ("text", "json", "csv"), multi=multi)
+        p = cmd(name, help_text, _cmd_evolve, REPORT_FORMATS, multi=multi)
         p.add_argument("--host", required=True, help="host series CSV (t,value)")
         p.add_argument(
             "--parasite", required=True, action="append", help=parasite_help
@@ -229,10 +231,6 @@ def _load(paths, aggregator: str = "mean", host: bool = False) -> list[TechSerie
     return [sf.parsed for sf in files]
 
 
-def _print_json(payload) -> None:
-    print(_json_text(payload))
-
-
 def _cmd_evolve(args) -> int:
     paths = [args.host, *args.parasite]
     host, *parasites = _load(paths, args.aggregator, host=True)
@@ -261,18 +259,7 @@ def _cmd_fit_logistic(args) -> int:
     fit = fit_logistic(series, k_max_factor=args.k_max_factor)
     p = fit.params
     if args.format == "json":
-        _print_json(
-            {
-                "series": series.name,
-                "k": _clean(p.k),
-                "a": _clean(p.a),
-                "b": _clean(p.b),
-                "inflection_time": _clean(p.inflection_time),
-                "r2_logit": _clean(fit.r2_logit),
-                "k_at_bound": fit.k_at_bound,
-                "n": fit.n,
-            }
-        )
+        print(_json_text(_logistic_fit_dict(series.name, fit)))
     else:
         print(f"series:          {series.name}")
         print(f"K (equilibrium): {_num(p.k)}")
@@ -336,7 +323,7 @@ def _cmd_correlate(args) -> int:
         raise InvalidInputError("correlate needs at least two --series files")
     corr = correlation_matrix(_load(args.series))
     if args.format == "json":
-        _print_json(_correlations_dict(corr))
+        print(_json_text(_correlations_dict(corr)))
     else:
         print("\n".join(_text_correlations(corr)))
     return EXIT_OK
@@ -350,7 +337,7 @@ def _cmd_classify(args) -> int:
     else:
         cls = classify_point(args.b)
     if args.format == "json":
-        _print_json(_classification_dict(cls))
+        print(_json_text(_classification_dict(cls)))
     else:
         print(f"B = {_num(cls.b_estimate)}")
         print(
@@ -382,12 +369,10 @@ def _cmd_simulate(args) -> int:
     host_series, parasites = simulate_pair(config)
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    host_path = prefix.with_name(prefix.name + "_host.csv")
-    parasite_path = prefix.with_name(prefix.name + "_parasite.csv")
-    write_series_csv(host_series, host_path)
-    write_series_csv(parasites[0], parasite_path)
-    print(host_path)
-    print(parasite_path)
+    paths = [prefix.with_name(f"{prefix.name}_{role}.csv") for role in ROLES]
+    for series, path in zip((host_series, parasites[0]), paths):
+        write_series_csv(series, path)
+    print(*paths, sep="\n")
     return EXIT_OK
 
 
@@ -403,15 +388,6 @@ def _parse_logistic_json(obj, label: str) -> LogisticParams:
     except KeyError as missing:
         raise InvalidInputError(f"{label}: missing key {missing}") from None
     return LogisticParams(k=k, a=a, b=b)
-
-
-def _json_int(value, label: str) -> int:
-    """An integer config field; a fractional number is an error, not truncated."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if not isinstance(value, int):
-        raise InvalidInputError(f"{label} must be an integer, got {value!r}")
-    return value
 
 
 def _cmd_recover(args) -> int:
@@ -430,10 +406,10 @@ def _cmd_recover(args) -> int:
             ),
             t_start=float(raw["t_start"]),
             t_end=float(raw["t_end"]),
-            n_points=_json_int(raw["n_points"], "n_points"),
+            n_points=raw["n_points"],
             noise_sigma=float(raw.get("noise_sigma", 0.0)),
             missing_prob=float(raw.get("missing_prob", 0.0)),
-            seed=_json_int(_seed(raw.get("seed")), "seed"),
+            seed=_check_integer(_seed(raw.get("seed")), "seed"),
         )
     except KeyError as missing:
         raise InvalidInputError(f"{args.config}: missing key {missing}") from None
@@ -443,18 +419,7 @@ def _cmd_recover(args) -> int:
         config, args.replicates, early_phase_only=args.early_phase
     )
     if args.format == "json":
-        _print_json(
-            {
-                "replicates": summary.replicates,
-                "true_b": _clean(summary.true_b),
-                "bias": _clean(summary.bias),
-                "rmse": _clean(summary.rmse),
-                "coverage_95": _clean(summary.coverage_95),
-                "failures": summary.failures,
-                "perfect_fits": summary.perfect_fits,
-                "estimates": [_clean(e) for e in summary.estimates],
-            }
-        )
+        print(_json_text(_recovery_dict(summary)))
     else:
         print(f"replicates:   {summary.replicates} ({summary.failures} failed)")
         print(f"true B:       {_num(summary.true_b)}")
@@ -476,7 +441,8 @@ def _cmd_stats(args) -> int:
     d = descriptive(series.log_values() if args.log else series.values)
     scale = "log" if args.log else "raw"
     if args.format == "json":
-        _print_json({"series": series.name, "scale": scale, **_descriptive_dict(d)})
+        payload = {"series": series.name, "scale": scale, **_descriptive_dict(d)}
+        print(_json_text(payload))
     else:
         print(f"series:   {series.name} ({scale} scale)")
         print(f"n:        {d.n}")

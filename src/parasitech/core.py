@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import statkit
 from .errors import InsufficientDataError, InvalidInputError
 
 ROLES = ("host", "parasite")
@@ -46,8 +47,6 @@ EVOLUTION_SCALE = {
         "Complex system of technology is likely to evolve rapidly",
     ),
 }
-
-GRADE_NAMES = {1: "Low", 2: "Average", 3: "High"}
 
 # Half-width of the exact-comparison band around B = 1. An estimated
 # coefficient landing exactly on 1 is measure-zero, so grade 2 is only
@@ -97,7 +96,8 @@ class TechSeries:
 
     @classmethod
     def from_columns(cls, name: str, role: str, units: str, times, values):
-        """The constructor, under the name most callers use."""
+        """The constructor under another name, kept only because perfbench/
+        calls it; once perfbench calls ``TechSeries(...)`` it can go."""
         return cls(name, role, units, times, values)
 
     def __eq__(self, other):
@@ -206,8 +206,6 @@ def classify_with_test(
     fails to reject ``b = 1`` at level ``alpha`` the classification is
     grade 2 (mutualism); otherwise the sign of ``b - 1`` decides.
     """
-    from . import statkit  # local import: statkit never imports core
-
     b = float(b)
     se_b = float(se_b)
     if not math.isfinite(b):
@@ -230,10 +228,3 @@ def classify_with_test(
     else:
         grade = 1
     return _make_class(grade, b, test)
-
-
-def prediction_label(grade: int) -> str:
-    """The fixed forecast string for a grade on the evolution scale."""
-    if grade not in EVOLUTION_SCALE:
-        raise InvalidInputError(f"grade must be 1, 2 or 3, got {grade!r}")
-    return EVOLUTION_SCALE[grade][3]

@@ -71,9 +71,6 @@ class CorrelationMatrix:
     names: tuple[str, ...]
     entries: tuple[tuple[CorrelationEntry, ...], ...]
 
-    def entry(self, i: int, j: int) -> CorrelationEntry:
-        return self.entries[i][j]
-
 
 @dataclass(frozen=True)
 class Provenance:
@@ -138,6 +135,8 @@ def fit_evolution(
     perfect fit (zero residual variance, so zero standard error) falls back
     to exact comparison.
     """
+    if not (0.0 < alpha < 1.0):  # checked here too: a perfect fit runs no test
+        raise InvalidInputError(f"alpha must lie in (0, 1), got {alpha!r}")
     years, (log_h, log_p) = _align([host, parasite])
     n = years.size
     if n < 4:
@@ -286,18 +285,15 @@ def build_report(
         (s.name, statkit.descriptive(s.log_values())) for s in all_series
     )
 
-    trajectories = []
-    for s in all_series:
-        if np.ptp(s.values) == 0.0:
-            continue
-        z = statkit.zscore(s.values)
-        trajectories.append(
-            Trajectory(
-                name=s.name,
-                years=tuple(s.times.tolist()),
-                z=tuple(z.tolist()),
-            )
+    trajectories = tuple(
+        Trajectory(
+            name=s.name,
+            years=tuple(s.times.tolist()),
+            z=tuple(statkit.zscore(s.values).tolist()),
         )
+        for s in all_series
+        if np.ptp(s.values) != 0.0
+    )
 
     opts = dict(options or {})
     if not multi:
@@ -313,6 +309,6 @@ def build_report(
         multi_fits=multi_fits,
         correlations=correlations,
         descriptives=descriptives,
-        standardized_trajectories=tuple(trajectories),
+        standardized_trajectories=trajectories,
         provenance=provenance,
     )

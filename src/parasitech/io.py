@@ -10,7 +10,6 @@ than 12 significant digits whenever they matter.
 
 from __future__ import annotations
 
-import enum
 import json
 import math
 import statistics
@@ -38,10 +37,7 @@ AGGREGATORS = {
 _EXACT_AGGREGATORS = {"mean": statistics.mean, "median": statistics.median}
 
 
-class ReportFormat(enum.Enum):
-    TEXT = "text"
-    JSON = "json"
-    CSV = "csv"
+REPORT_FORMATS = ("text", "json", "csv")
 
 
 @dataclass(frozen=True)
@@ -132,7 +128,7 @@ def parse_series_csv(
                 f"{len(group)} rows share t={t!r}; aggregated by {aggregator}"
             )
             by_t[t] = _aggregate(aggregator, group)
-    series = TechSeries.from_columns(
+    series = TechSeries(
         name if name is not None else path.stem, role, units, times,
         [by_t[t] for t in times],
     )
@@ -256,6 +252,32 @@ def _correlations_dict(corr: CorrelationMatrix) -> dict:
             ]
             for row in corr.entries
         ],
+    }
+
+
+def _logistic_fit_dict(name: str, fit) -> dict:
+    return {
+        "series": name,
+        "k": _clean(fit.params.k),
+        "a": _clean(fit.params.a),
+        "b": _clean(fit.params.b),
+        "inflection_time": _clean(fit.params.inflection_time),
+        "r2_logit": _clean(fit.r2_logit),
+        "k_at_bound": fit.k_at_bound,
+        "n": fit.n,
+    }
+
+
+def _recovery_dict(summary) -> dict:
+    return {
+        "replicates": summary.replicates,
+        "true_b": _clean(summary.true_b),
+        "bias": _clean(summary.bias),
+        "rmse": _clean(summary.rmse),
+        "coverage_95": _clean(summary.coverage_95),
+        "failures": summary.failures,
+        "perfect_fits": summary.perfect_fits,
+        "estimates": [_clean(e) for e in summary.estimates],
     }
 
 
@@ -413,7 +435,7 @@ def _csv_row(kind, target, source, n, reg, cls) -> str:
     )
 
 
-def render_report(report: AnalysisReport, fmt: ReportFormat | str) -> bytes:
+def render_report(report: AnalysisReport, fmt: str) -> bytes:
     """Serialize an AnalysisReport as text, JSON, or CSV bytes.
 
     Text mirrors the regression-table layout (constant and slope with
@@ -421,17 +443,15 @@ def render_report(report: AnalysisReport, fmt: ReportFormat | str) -> bytes:
     it omits the timestamp so identical analyses render identically. JSON
     carries every field with a stable key order.
     """
-    try:
-        fmt = ReportFormat(fmt)
-    except ValueError:
+    if fmt not in REPORT_FORMATS:
         raise InvalidInputError(
-            f"format must be one of {[f.value for f in ReportFormat]}, got {fmt!r}"
-        ) from None
+            f"format must be one of {list(REPORT_FORMATS)}, got {fmt!r}"
+        )
 
-    if fmt is ReportFormat.JSON:
+    if fmt == "json":
         return (_json_text(report_to_dict(report)) + "\n").encode("utf-8")
 
-    if fmt is ReportFormat.CSV:
+    if fmt == "csv":
         lines = [
             "kind,target,source,n,intercept,intercept_se,b,b_se,stars,"
             "r2,r2_adj,residual_se,f_stat,f_p,grade,mode,evolution,symbol"

@@ -48,7 +48,7 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _M128 = (1 << 128) - 1
 
-# Default "early phase" threshold: a series is early while its value is
+# The "early phase" threshold: a series is early while its value is
 # below this fraction of its equilibrium level K.
 EARLY_PHASE_FRACTION = 0.1
 
@@ -317,14 +317,11 @@ def simulate_pair(config: SimConfig) -> tuple[TechSeries, tuple[TechSeries, ...]
     return host, tuple(parasites)
 
 
-def early_phase_cutoff(
-    params: LogisticParams, fraction: float = EARLY_PHASE_FRACTION
-) -> float:
-    """Latest t at which the law is still below ``fraction`` of K."""
-    if not (0.0 < fraction < 1.0):
-        raise InvalidInputError("fraction must lie in (0, 1)")
+def early_phase_cutoff(params: LogisticParams) -> float:
+    """Latest t at which the law is still below ``EARLY_PHASE_FRACTION`` of K."""
+    f = EARLY_PHASE_FRACTION
     # value < f*K  <=>  a - b*t > log((1-f)/f)
-    return (params.a - math.log((1.0 - fraction) / fraction)) / params.b
+    return (params.a - math.log((1.0 - f) / f)) / params.b
 
 
 def monte_carlo_recovery(

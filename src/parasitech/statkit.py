@@ -90,10 +90,6 @@ class CorrelationEntry:
     p: float
     n: int
 
-    @property
-    def defined(self) -> bool:
-        return math.isfinite(self.r)
-
 
 def student_t_sf(t: float, df: int) -> float:
     """Two-sided tail probability P(|T| >= |t|) of Student's t.

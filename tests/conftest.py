@@ -10,7 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))  # make `oracles` importable
 
 
 def make_series(name, times, values, role="parasite", units=""):
-    return TechSeries.from_columns(name, role, units, times, values)
+    return TechSeries(name, role, units, times, values)
 
 
 @pytest.fixture

@@ -187,6 +187,21 @@ class TestEvolveCommand:
         assert (tmp_path / "plots" / "run_fit1_parasite.csv").exists()
         assert (tmp_path / "plots" / "run_trajectories.csv").exists()
 
+    @pytest.mark.parametrize("alpha", ["7", "nan"])
+    def test_alpha_out_of_range_is_data_error_on_a_perfect_fit(
+        self, capsys, pair, alpha
+    ):
+        host, _ = pair
+        code, out, err = run_cli(
+            capsys,
+            "evolve", "--host", str(host), "--parasite", str(host),
+            "--alpha", alpha,
+        )
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err.startswith("DATA_ERROR: alpha must lie in (0, 1)")
+        assert err.count("\n") == 1
+
     def test_missing_file_is_data_error(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,
@@ -629,6 +644,23 @@ class TestSimulateAndRecover:
         assert abs(payload["bias"]) < 0.05
         assert len(payload["estimates"]) == 25
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_recover_whole_floats_are_integers(self, capsys, tmp_path, fmt):
+        outputs = []
+        for config in (
+            RECOVER_CONFIG, {**RECOVER_CONFIG, "n_points": 44.0, "seed": 5.0}
+        ):
+            path = tmp_path / "sim.json"
+            path.write_text(json.dumps(config))
+            code, out, err = run_cli(
+                capsys,
+                "recover", "--config", str(path), "--replicates", "5",
+                "--format", fmt,
+            )
+            assert (code, err) == (EXIT_OK, "")
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
     def test_recover_bad_config(self, capsys, tmp_path):
         path = tmp_path / "sim.json"
         path.write_text("{\"host\": {}}")
@@ -638,14 +670,22 @@ class TestSimulateAndRecover:
         assert code == EXIT_DATA
 
     @pytest.mark.parametrize(
-        "config",
+        "config, message",
         [
-            [1, 2],
-            {**RECOVER_CONFIG, "host": [100.0, 0.05]},
-            {**RECOVER_CONFIG, "parasites": [5]},
-            {**RECOVER_CONFIG, "t_start": "soon"},
-            {**RECOVER_CONFIG, "noise_sigma": None},
-            {**RECOVER_CONFIG, "n_points": 44.9},
+            ([1, 2], "config must be a JSON object"),
+            ({**RECOVER_CONFIG, "host": [100.0, 0.05]}, "host: must be a JSON object"),
+            (
+                {**RECOVER_CONFIG, "parasites": [5]},
+                "parasites[0]: must be a JSON object",
+            ),
+            ({**RECOVER_CONFIG, "t_start": "soon"}, "could not convert"),
+            ({**RECOVER_CONFIG, "noise_sigma": None}, "float() argument"),
+            (
+                {**RECOVER_CONFIG, "n_points": 44.9},
+                "n_points must be an integer, got 44.9",
+            ),
+            ({**RECOVER_CONFIG, "seed": 2.5}, "seed must be an integer, got 2.5"),
+            ({**RECOVER_CONFIG, "seed": "3"}, "seed must be an integer, got '3'"),
         ],
         ids=[
             "not-an-object",
@@ -654,9 +694,13 @@ class TestSimulateAndRecover:
             "non-numeric-field",
             "null-field",
             "fractional-n-points",
+            "fractional-seed",
+            "string-seed",
         ],
     )
-    def test_recover_malformed_config_is_data_error(self, capsys, tmp_path, config):
+    def test_recover_malformed_config_is_data_error(
+        self, capsys, tmp_path, config, message
+    ):
         path = tmp_path / "sim.json"
         path.write_text(json.dumps(config))
         code, out, err = run_cli(
@@ -665,6 +709,7 @@ class TestSimulateAndRecover:
         assert code == EXIT_DATA
         assert out == ""
         assert err.startswith("DATA_ERROR:") and err.count("\n") == 1
+        assert message in err
 
 
 class TestForecastGrid:

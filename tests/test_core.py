@@ -12,54 +12,53 @@ from parasitech import (
     TechSeries,
     classify_point,
     classify_with_test,
-    prediction_label,
 )
 from oracles import t_two_sided_quad
 
 
 class TestTechSeries:
     def test_valid_construction(self):
-        s = TechSeries.from_columns("x", "host", "hp", [1920, 1921], [2.5, 2.7])
+        s = TechSeries("x", "host", "hp", [1920, 1921], [2.5, 2.7])
         assert s.n == 2
         assert s.role == "host"
         np.testing.assert_array_equal(s.times, [1920.0, 1921.0])
 
     def test_rejects_duplicate_times(self):
         with pytest.raises(InvalidInputError):
-            TechSeries.from_columns("x", "host", "", [1, 1, 2], [1.0, 2.0, 3.0])
+            TechSeries("x", "host", "", [1, 1, 2], [1.0, 2.0, 3.0])
 
     def test_rejects_decreasing_times(self):
         with pytest.raises(InvalidInputError):
-            TechSeries.from_columns("x", "host", "", [2, 1], [1.0, 2.0])
+            TechSeries("x", "host", "", [2, 1], [1.0, 2.0])
 
     def test_rejects_nonpositive_values(self):
         with pytest.raises(InvalidInputError):
-            TechSeries.from_columns("x", "host", "", [1, 2], [1.0, 0.0])
+            TechSeries("x", "host", "", [1, 2], [1.0, 0.0])
         with pytest.raises(InvalidInputError):
-            TechSeries.from_columns("x", "host", "", [1, 2], [1.0, -3.0])
+            TechSeries("x", "host", "", [1, 2], [1.0, -3.0])
 
     def test_rejects_bad_role(self):
         with pytest.raises(InvalidInputError):
-            TechSeries.from_columns("x", "observer", "", [1], [1.0])
+            TechSeries("x", "observer", "", [1], [1.0])
 
     def test_rejects_empty(self):
         with pytest.raises(InvalidInputError):
-            TechSeries.from_columns("x", "host", "", [], [])
+            TechSeries("x", "host", "", [], [])
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(InvalidInputError):
-            TechSeries.from_columns("x", "host", "", [1, 2, 3], [1.0, 2.0])
+            TechSeries("x", "host", "", [1, 2, 3], [1.0, 2.0])
 
     def test_arrays_are_read_only(self):
         times = np.array([1.0, 2.0])
-        s = TechSeries.from_columns("x", "host", "", times, [1.0, 2.0])
+        s = TechSeries("x", "host", "", times, [1.0, 2.0])
         times[0] = 0.0  # the series keeps its own copy
         assert s.times[0] == 1.0
         with pytest.raises(ValueError):
             s.values[0] = 5.0
 
     def test_scaled(self):
-        s = TechSeries.from_columns("x", "host", "", [1, 2], [2.0, 4.0])
+        s = TechSeries("x", "host", "", [1, 2], [2.0, 4.0])
         np.testing.assert_allclose(s.scaled(0.5).values, [1.0, 2.0])
 
     @pytest.mark.parametrize(
@@ -219,19 +218,14 @@ class TestClassifyWithTest:
 class TestPredictionLabel:
     def test_fixed_strings(self):
         assert (
-            prediction_label(1)
+            classify_point(0.5).prediction
             == "Complex system of technology evolves slowly over time"
         )
         assert (
-            prediction_label(2)
+            classify_point(1.0).prediction
             == "Complex system of technology has a steady-state growth"
         )
         assert (
-            prediction_label(3)
+            classify_point(1.5).prediction
             == "Complex system of technology is likely to evolve rapidly"
         )
-
-    @pytest.mark.parametrize("bad", [0, 4, -1, 2.5])
-    def test_out_of_range(self, bad):
-        with pytest.raises(InvalidInputError):
-            prediction_label(bad)

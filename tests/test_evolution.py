@@ -24,7 +24,7 @@ from conftest import make_series
 
 def power_series(host, a, b, name="p"):
     """Parasite generated exactly as P = a * H^b on the host's years."""
-    return TechSeries.from_columns(
+    return TechSeries(
         name, "parasite", "", host.times, a * host.values**b
     )
 
@@ -161,10 +161,10 @@ class TestFitEvolution:
         host_law = LogisticParams(k=100.0, a=6.0, b=0.05)
         parasite_law = LogisticParams(k=50.0, a=6.96, b=0.087)
         t = np.arange(44.0)
-        h = TechSeries.from_columns(
+        h = TechSeries(
             "h", "host", "", t, logistic_value(host_law, t)
         )
-        p = TechSeries.from_columns(
+        p = TechSeries(
             "p", "parasite", "", t, logistic_value(parasite_law, t)
         )
         fit = fit_evolution(h, p)
@@ -176,6 +176,18 @@ class TestFitEvolution:
         p = make_series("p", [1, 2, 3], [1.0, 3.0, 9.0])
         with pytest.raises(InsufficientDataError):
             fit_evolution(h, p)
+
+    @pytest.mark.parametrize("alpha", [7.0, math.nan, 0.0, 1.0, -0.05])
+    @pytest.mark.parametrize("perfect", [True, False], ids=["perfect", "noisy"])
+    def test_alpha_out_of_range_is_rejected(self, host, rng, alpha, perfect):
+        # a perfect fit has zero standard error and runs no t-test, so the
+        # level is checked before the fit, whatever the data
+        noise = 1.0 if perfect else np.exp(rng.normal(0, 0.05, host.n))
+        parasite = TechSeries(
+            "p", "parasite", "", host.times, host.values * noise
+        )
+        with pytest.raises(InvalidInputError, match="alpha must lie in"):
+            fit_evolution(host, parasite, alpha=alpha)
 
     def test_invariants_hold(self, host):
         parasite = power_series(host, 0.5, 1.2)
@@ -189,7 +201,7 @@ class TestFitEvolution:
 class TestScaleInvariance:
     def test_host_rescaling(self, rng, host):
         parasite = power_series(host, 2.0, 1.4, "p")
-        noisy = TechSeries.from_columns(
+        noisy = TechSeries(
             "p", "parasite", "", parasite.times,
             parasite.values * np.exp(rng.normal(0, 0.05, parasite.n)),
         )
@@ -210,7 +222,7 @@ class TestScaleInvariance:
 
     def test_parasite_rescaling(self, rng, host):
         parasite = power_series(host, 2.0, 0.8, "p")
-        noisy = TechSeries.from_columns(
+        noisy = TechSeries(
             "p", "parasite", "", parasite.times,
             parasite.values * np.exp(rng.normal(0, 0.05, parasite.n)),
         )
@@ -227,10 +239,10 @@ class TestScaleInvariance:
     def test_swap_inverts_slope_on_exact_data(self, host):
         parasite = power_series(host, 2.0, 1.6, "p")
         forward = fit_evolution(host, parasite)
-        host_as_parasite = TechSeries.from_columns(
+        host_as_parasite = TechSeries(
             "h2", "parasite", "", host.times, host.values
         )
-        parasite_as_host = TechSeries.from_columns(
+        parasite_as_host = TechSeries(
             "p2", "host", "", parasite.times, parasite.values
         )
         backward = fit_evolution(parasite_as_host, host_as_parasite)
@@ -319,11 +331,11 @@ class TestCorrelationMatrix:
         a = make_series("a", [1, 2, 3, 4], [1.0, 2.0, 4.0, 8.0])
         b = make_series("b", [1, 2, 3, 4], [1.0, 2.0, 4.0, 8.0])
         m = correlation_matrix([a, b])
-        e = m.entry(0, 1)
+        e = m.entries[0][1]
         assert e.r == 1.0
         assert e.p == 0.0
         assert e.n == 4
-        assert m.entry(0, 0).r == 1.0
+        assert m.entries[0][0].r == 1.0
 
     def test_symmetry(self, rng):
         t = np.arange(2000, 2015)
@@ -334,27 +346,27 @@ class TestCorrelationMatrix:
         m = correlation_matrix(series)
         for i in range(4):
             for j in range(4):
-                assert m.entry(i, j).r == m.entry(j, i).r
-                assert m.entry(i, j).n == m.entry(j, i).n
+                assert m.entries[i][j].r == m.entries[j][i].r
+                assert m.entries[i][j].n == m.entries[j][i].n
 
     def test_staggered_overlap_counts(self, rng):
         a = make_series("a", [1, 2, 3, 4, 5, 6], np.exp(rng.uniform(0, 1, 6)))
         b = make_series("b", [4, 5, 6, 7, 8], np.exp(rng.uniform(0, 1, 5)))
         c = make_series("c", [1, 2, 9], np.exp(rng.uniform(0, 1, 3)))
         m = correlation_matrix([a, b, c])
-        assert m.entry(0, 1).n == 3  # years 4, 5, 6
-        assert m.entry(0, 2).n == 2  # years 1, 2 -> undefined
-        assert m.entry(1, 2).n == 0
-        assert m.entry(0, 1).defined
-        assert not m.entry(0, 2).defined
-        assert not m.entry(1, 2).defined
+        assert m.entries[0][1].n == 3  # years 4, 5, 6
+        assert m.entries[0][2].n == 2  # years 1, 2 -> undefined
+        assert m.entries[1][2].n == 0
+        assert math.isfinite(m.entries[0][1].r)
+        assert not math.isfinite(m.entries[0][2].r)
+        assert not math.isfinite(m.entries[1][2].r)
 
     def test_constant_side_flagged_not_fatal(self):
         a = make_series("a", [1, 2, 3, 4], [1.0, 2.0, 4.0, 8.0])
         flat = make_series("flat", [1, 2, 3, 4], [5.0, 5.0, 5.0, 5.0])
         m = correlation_matrix([a, flat])
-        assert not m.entry(0, 1).defined
-        assert m.entry(0, 1).n == 4
+        assert not math.isfinite(m.entries[0][1].r)
+        assert m.entries[0][1].n == 4
 
     def test_needs_two_series(self):
         a = make_series("a", [1, 2, 3], [1.0, 2.0, 3.0])

@@ -140,7 +140,7 @@ class TestParseSeriesCsv:
     def test_round_trip_identity(self, tmp_path, rng):
         values = np.exp(rng.uniform(-20, 20, size=30))
         times = np.sort(rng.uniform(1900, 2020, size=30))
-        original = TechSeries.from_columns("s", "parasite", "", times, values)
+        original = TechSeries("s", "parasite", "", times, values)
         path = tmp_path / "out.csv"
         write_series_csv(original, path)
         back = parse_series_csv(path, name="s").parsed

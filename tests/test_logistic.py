@@ -22,7 +22,7 @@ from oracles import logistic_exact, power_law_loglog_fit
 
 
 def series_from_params(params, t_grid, name="s", role="parasite"):
-    return TechSeries.from_columns(
+    return TechSeries(
         name, role, "", t_grid, logistic_value(params, np.asarray(t_grid))
     )
 
@@ -87,12 +87,12 @@ class TestLogisticValue:
 
 class TestLogitTransform:
     def test_midpoint_maps_to_zero(self):
-        s = TechSeries.from_columns("s", "host", "", [0, 1, 2], [2.0, 5.0, 8.0])
+        s = TechSeries("s", "host", "", [0, 1, 2], [2.0, 5.0, 8.0])
         _, logits = logit_transform(s, 10.0)
         assert logits[1] == 0.0
 
     def test_invalid_k(self):
-        s = TechSeries.from_columns("s", "host", "", [0, 1], [2.0, 5.0])
+        s = TechSeries("s", "host", "", [0, 1], [2.0, 5.0])
         with pytest.raises(InvalidKError):
             logit_transform(s, 5.0)
         with pytest.raises(InvalidKError):
@@ -100,7 +100,7 @@ class TestLogitTransform:
 
     def test_near_k_guard(self):
         v = 10.0
-        s = TechSeries.from_columns("s", "host", "", [0, 1], [2.0, v])
+        s = TechSeries("s", "host", "", [0, 1], [2.0, v])
         with pytest.raises(InvalidKError):
             logit_transform(s, v * (1 + 1e-14))
 
@@ -139,7 +139,7 @@ class TestFitLogistic:
         np.testing.assert_allclose(second.b, first.b, rtol=1e-8)
 
     def test_decreasing_series_fails(self):
-        s = TechSeries.from_columns(
+        s = TechSeries(
             "down", "host", "", [0, 1, 2, 3, 4], [10.0, 8.0, 6.0, 4.0, 2.0]
         )
         with pytest.raises(FitFailureError):
@@ -149,7 +149,7 @@ class TestFitLogistic:
         # data with no saturation signal: the logit fit improves
         # monotonically as K grows, so the search pins at the upper bound
         t = np.linspace(1, 10, 10)
-        s = TechSeries.from_columns("exp", "host", "", t, np.exp(0.2 * t))
+        s = TechSeries("exp", "host", "", t, np.exp(0.2 * t))
         report = fit_logistic(s)
         assert report.k_at_bound
 
@@ -157,23 +157,23 @@ class TestFitLogistic:
         # y = t matches the locally-linear midphase of a logistic, so the
         # optimum K sits just above max(y), interior to the search bracket
         t = np.linspace(1, 10, 10)
-        s = TechSeries.from_columns("lin", "host", "", t, t)
+        s = TechSeries("lin", "host", "", t, t)
         report = fit_logistic(s)
         assert not report.k_at_bound
         assert 10.0 < report.params.k < 15.0
 
     def test_too_few_points(self):
-        s = TechSeries.from_columns("s", "host", "", [0, 1, 2], [1.0, 2.0, 3.0])
+        s = TechSeries("s", "host", "", [0, 1, 2], [1.0, 2.0, 3.0])
         with pytest.raises(InsufficientDataError):
             fit_logistic(s)
 
     def test_constant_series(self):
-        s = TechSeries.from_columns("s", "host", "", [0, 1, 2, 3], [4.0] * 4)
+        s = TechSeries("s", "host", "", [0, 1, 2, 3], [4.0] * 4)
         with pytest.raises(InsufficientDataError):
             fit_logistic(s)
 
     def test_bad_k_max_factor(self):
-        s = TechSeries.from_columns("s", "host", "", [0, 1, 2, 3], [1.0, 2, 3, 4])
+        s = TechSeries("s", "host", "", [0, 1, 2, 3], [1.0, 2, 3, 4])
         with pytest.raises(InvalidInputError):
             fit_logistic(s, k_max_factor=1.0)
 

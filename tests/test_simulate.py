@@ -307,15 +307,11 @@ class TestSeedDerivation:
 
 class TestEarlyPhaseCutoff:
     def test_cutoff_matches_law(self):
-        t_cut = early_phase_cutoff(HOST_LAW, 0.1)
+        t_cut = early_phase_cutoff(HOST_LAW)
         np.testing.assert_allclose(
             logistic_value(HOST_LAW, t_cut), 0.1 * HOST_LAW.k, rtol=1e-12
         )
         assert logistic_value(HOST_LAW, t_cut - 1.0) < 0.1 * HOST_LAW.k
-
-    def test_validation(self):
-        with pytest.raises(InvalidInputError):
-            early_phase_cutoff(HOST_LAW, 1.5)
 
 
 class TestMonteCarloRecovery:
