@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 data/validation error, 3 fit failure, 4 usage
-error. Every error path prints one machine-greppable line to stderr of the
-form ``CODE: message`` with CODE in {DATA_ERROR, FIT_ERROR, USAGE_ERROR}.
+error, 141 stdout closed by its reader. Each other nonzero exit prints one
+stderr line ``CODE: message``, CODE in {DATA_ERROR, FIT_ERROR, USAGE_ERROR}.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .logistic import (
     k_search_bracket,
 )
 from .simulate import SimConfig, _check_integer, monte_carlo_recovery, simulate_pair
-from .statkit import descriptive, zscore
+from .statkit import _check_alpha, descriptive, zscore
 
 EXIT_OK = 0
 EXIT_DATA = 2
@@ -332,6 +332,7 @@ def _cmd_correlate(args) -> int:
 def _cmd_classify(args) -> int:
     if (args.se is None) != (args.n is None):
         raise InvalidInputError("--se and --n must be given together")
+    _check_alpha(args.alpha)  # point mode runs no test to refuse it
     if args.se is not None:
         cls = classify_with_test(args.b, args.se, args.n, alpha=args.alpha)
     else:
@@ -466,13 +467,18 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise _UsageError("a command is required (see --help)")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
     except _UsageError as err:
         print(f"USAGE_ERROR: {err}", file=sys.stderr)
         return EXIT_USAGE
     except FitFailureError as err:
         print(f"FIT_ERROR: {err}", file=sys.stderr)
         return EXIT_FIT
+    except BrokenPipeError:  # stdout's reader is gone: stop as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # the shell's status for a writer stopped by SIGPIPE
     except (ParasitechError, OSError) as err:
         print(f"DATA_ERROR: {err}", file=sys.stderr)
         return EXIT_DATA

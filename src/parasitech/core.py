@@ -214,8 +214,7 @@ def classify_with_test(
         raise InsufficientDataError(f"need n >= 3 observations for the t-test, got {n}")
     if not (math.isfinite(se_b) and se_b > 0):
         raise InvalidInputError(f"standard error must be positive, got {se_b!r}")
-    if not (0.0 < alpha < 1.0):
-        raise InvalidInputError(f"alpha must lie in (0, 1), got {alpha!r}")
+    statkit._check_alpha(alpha)
 
     df = int(n) - 2
     t_stat = (b - 1.0) / se_b

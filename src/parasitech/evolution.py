@@ -135,8 +135,7 @@ def fit_evolution(
     perfect fit (zero residual variance, so zero standard error) falls back
     to exact comparison.
     """
-    if not (0.0 < alpha < 1.0):  # checked here too: a perfect fit runs no test
-        raise InvalidInputError(f"alpha must lie in (0, 1), got {alpha!r}")
+    statkit._check_alpha(alpha)  # checked here too: a perfect fit runs no test
     years, (log_h, log_p) = _align([host, parasite])
     n = years.size
     if n < 4:

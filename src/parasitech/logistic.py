@@ -156,9 +156,10 @@ def _logit_r2(series: TechSeries):
     """K -> ``ols_simple(*logit_transform(series, K)).r2`` for K in the
     search bracket, with the sums over t formed once and only R^2 built.
     R^2 does not depend on t's scale, so t is fitted as ``ols_simple``
-    fits it."""
+    fits it: scaled by an exact power of two into [-1, 1]."""
     values = series.values
-    t, t_sums, _ = statkit._fit_x(series.times)
+    t, _ = statkit._unit_scaled(series.times)
+    t_sums = statkit._x_sums(t)
 
     def r2_at(k: float) -> float:
         y = np.log((k - values) / values)

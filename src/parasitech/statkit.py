@@ -9,8 +9,7 @@ excess kurtosis) follow the usual social-science software definitions.
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
@@ -26,7 +25,7 @@ from .errors import (
     UndefinedCorrelationError,
 )
 
-_TINY = sys.float_info.min  # the smallest normal float
+_TINY = 2.0**-1022  # the smallest normal float
 
 # The sum and the dot product along the last axis: of 1-d arrays, and per
 # row of 2-d stacks, kept as (rows, 1) columns. (keepdims=False costs a 1-d
@@ -126,13 +125,18 @@ def f_sf(f: float, df1: int, df2: int) -> float:
     return float(betainc(df2 / 2.0, df1 / 2.0, x))
 
 
+def _check_alpha(alpha: float) -> None:
+    """Refuse a test level outside (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise InvalidInputError(f"alpha must lie in (0, 1), got {alpha!r}")
+
+
 def t_critical(alpha: float, df: int) -> float:
     """Two-sided critical value: the t >= 0 with student_t_sf(t, df) = alpha.
 
     Negated lower-tail quantile at alpha/2 (no cancellation in 1 - alpha/2).
     """
-    if not (0.0 < alpha < 1.0):
-        raise InvalidInputError(f"alpha must lie in (0, 1), got {alpha!r}")
+    _check_alpha(alpha)
     if df < 1:
         raise InvalidInputError(f"degrees of freedom must be >= 1, got {df}")
     return float(-stdtrit(df, alpha / 2.0))
@@ -189,21 +193,6 @@ def _x_sums(x):
     return x_mean, dx, dot(dx, dx)
 
 
-def _fit_x(x):
-    """The 1-d x to fit, its ``_x_sums`` and the e of x = 2**e * (x to fit).
-
-    That is x itself and e = 0, unless x's sum of squared deviations or
-    squared mean leaves the normal floats; then it is x / 2**e, with max
-    |x / 2**e| in [0.5, 1), whose sums cannot.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        sums = x_mean, _, sxx = _x_sums(x)
-        if _TINY <= sxx < math.inf and x_mean**2 < math.inf:
-            return x, sums, 0
-    scaled, e = _unit_scaled(x)
-    return scaled, _x_sums(scaled), e
-
-
 def _line(x, y, x_mean, dx, sxx):
     """Intercept, slope, SSE and SST of the least-squares line of y on x
     along the last axis, given ``_x_sums(x)``; one line per row of 2-d x, y."""
@@ -228,8 +217,12 @@ def _r2(sse: float, sst: float) -> float:
     return 1.0 - sse / sst if sst > 0 else 0.0
 
 
-def _result(coef, se, std_coef, sse, sst, n, k) -> RegressionResult:
-    """The record of an OLS fit with k predictors: tail tests, R^2s, F test."""
+def _result(coef, se, std_coef, sse, sst, n, k, exps=None) -> RegressionResult:
+    """The record of an OLS fit with k predictors: tail tests, R^2s, F test.
+    Estimate j was fitted 2**-exps[j] times its size and is scaled back after
+    the t test, which that scale leaves alone; the residual SE scales as the
+    intercept. An estimate beyond the floats raises OverflowError."""
+    exps = exps or (0,) * (k + 1)
     df_resid = n - k - 1
     s2 = sse / df_resid
     r2 = _r2(sse, sst)
@@ -237,8 +230,8 @@ def _result(coef, se, std_coef, sse, sst, n, k) -> RegressionResult:
     t_stats, p_values = _tail_stats(coef, se, df_resid)
     f_stat, f_p = _f_overall(sst, sse, k, df_resid)
     return RegressionResult(
-        coefficients=tuple(map(float, coef)),
-        standard_errors=tuple(map(float, se)),
+        coefficients=tuple(map(math.ldexp, coef, exps)),
+        standard_errors=tuple(map(math.ldexp, se, exps)),
         t_stats=tuple(t_stats),
         p_values=tuple(p_values),
         standardized_coefficients=tuple(std_coef),
@@ -246,7 +239,7 @@ def _result(coef, se, std_coef, sse, sst, n, k) -> RegressionResult:
         r2_adj=float(r2_adj),
         f_stat=float(f_stat),
         f_p=float(f_p),
-        residual_se=math.sqrt(s2),
+        residual_se=math.ldexp(math.sqrt(s2), exps[0]),
         n=int(n),
         k=int(k),
         perfect_fit=s2 == 0.0,
@@ -258,9 +251,9 @@ def ols_simple(x: Sequence[float], y: Sequence[float]) -> RegressionResult:
 
     Returns coefficients, standard errors from the residual variance and the
     inverse Gram diagonal, two-sided p-values with n-2 degrees of freedom,
-    R^2 / adjusted R^2, and the overall F test with (1, n-2) df. Where
-    x's sums of squares leave the normal floats, x is fitted scaled by an
-    exact power of two.
+    R^2 / adjusted R^2, and the overall F test with (1, n-2) df. x and y are
+    fitted scaled by exact powers of two into [-1, 1], whose sums cannot
+    leave the floats, and the estimates are scaled back.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -269,10 +262,12 @@ def ols_simple(x: Sequence[float], y: Sequence[float]) -> RegressionResult:
     n = x.size
     if n < 3:
         raise InsufficientDataError(f"need at least 3 observations, got {n}")
+    x, e = _unit_scaled(x)
+    y, f = _unit_scaled(y)
     if x.max() - x.min() == 0.0:  # as np.ptp: NaN, not 0, for an infinite x
         raise SingularDesignError("x is constant; slope is not identified")
 
-    x, (x_mean, dx, sxx), e = _fit_x(x)
+    x_mean, dx, sxx = _x_sums(x)
     intercept, slope, sse, sst = map(float, _line(x, y, x_mean, dx, sxx))
     s2 = sse / (n - 2)
     se_slope = math.sqrt(s2 / sxx)
@@ -282,12 +277,11 @@ def ols_simple(x: Sequence[float], y: Sequence[float]) -> RegressionResult:
     sd_y = math.sqrt(sst / (n - 1))
     std_slope = slope * sd_x / sd_y if sd_y > 0 else math.nan
 
-    try:  # the slope on x is 2**-e times the slope on the x fitted
-        slope, se_slope = math.ldexp(slope, -e), math.ldexp(se_slope, -e)
-    except OverflowError:
-        raise InvalidInputError("the slope of y on x overflows the floats") from None
     coef, se = (intercept, slope), (se_intercept, se_slope)
-    return _result(coef, se, (math.nan, std_slope), sse, sst, n, 1)
+    try:  # y is 2**f times the y fitted and the slope 2**(f - e) times its
+        return _result(coef, se, (math.nan, std_slope), sse, sst, n, 1, (f, f - e))
+    except OverflowError:
+        raise InvalidInputError("an estimate of y on x overflows the floats") from None
 
 
 def ols_multi(
@@ -345,63 +339,32 @@ def descriptive(values: Sequence[float]) -> DescriptiveStats:
     Skewness is the adjusted Fisher-Pearson coefficient
     g1 * sqrt(n(n-1))/(n-2); kurtosis is the excess form
     n(n+1)/((n-1)(n-2)(n-3)) * sum(z^4) - 3(n-1)^2/((n-2)(n-3)) with z
-    standardized by the sample sd. When a sum of powers over- or
-    underflows, the moments are taken of the values scaled by an exact
-    power of two.
+    standardized by the sample sd. All but skewness (see ``_skewness``) are
+    taken of the values scaled by an exact power of two into [-1, 1], whose
+    sums of powers cannot leave the floats; an sd beyond the floats is inf.
     """
     x = np.asarray(values, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise InsufficientDataError("need at least 1 value")
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("values must be finite")
-    with np.errstate(over="ignore", invalid="ignore"):
-        stats = _moments(x)
-    if stats is None:
-        scaled, e = _unit_scaled(x)
-        stats = _moments(scaled)
-        with np.errstate(over="ignore"):  # an sd beyond the floats is inf
-            sd = float(np.ldexp(stats.sd, e))
-        stats = replace(stats, mean=math.ldexp(stats.mean, e), sd=sd)
-    return stats
-
-
-def _unit_scaled(x):
-    """x / 2**e and e, for the e that brings max |x| into [0.5, 1): exact,
-    but for values pushed below the normal floats."""
-    e = math.frexp(float(np.abs(x).max()))[1]
-    return np.ldexp(x, -e), e
-
-
-def _moments(x) -> DescriptiveStats | None:
-    """The moments of x, or None where a sum of powers over- or underflows
-    (which x / 2**e, max |x / 2**e| in [0.5, 1), cannot do). A finite sd
-    bounds every |d / sd| by sqrt(n - 1), so only the cubes can overflow."""
     n = x.size
-    mean = float(x.mean())
+    scaled, e = _unit_scaled(x)
+    scaled_mean = float(scaled.mean())
+    mean = math.ldexp(scaled_mean, e)
 
     if np.all(x == x[0]) or n == 1:
         return DescriptiveStats(n=n, mean=mean, sd=0.0, skewness=None, kurtosis=None)
 
-    d = x - mean
-    ss = float(d @ d)
-    sd = math.sqrt(ss / (n - 1))
-    if not 0.0 < sd < math.inf:  # values that differ have a positive sd
-        return None
+    d = scaled - scaled_mean
+    sd = math.sqrt(float(d @ d) / (n - 1))  # positive: the values differ
 
     skewness = None
     if n >= 3:
-        m2 = ss / n
-        m3 = float(np.sum(d**3)) / n
-        try:
-            spread = m2**1.5
-        except OverflowError:
-            return None
-        if spread < _TINY:  # it fell below the normal floats
-            return None
-        g1 = m3 / spread
-        if not math.isfinite(g1):  # a cube overflowed
-            return None
-        skewness = g1 * math.sqrt(n * (n - 1)) / (n - 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            skewness = _skewness(x - mean, n)
+        if not math.isfinite(skewness):
+            skewness = _skewness(d, n)
 
     kurtosis = None
     if n >= 4:
@@ -411,7 +374,27 @@ def _moments(x) -> DescriptiveStats | None:
             - 3.0 * (n - 1) ** 2 / ((n - 2) * (n - 3))
         )
 
+    with np.errstate(over="ignore"):  # an sd beyond the floats is inf
+        sd = float(np.ldexp(sd, e))
     return DescriptiveStats(n=n, mean=mean, sd=sd, skewness=skewness, kurtosis=kurtosis)
+
+
+def _unit_scaled(x):
+    """x / 2**e and e, for the e that brings max |x| into [0.5, 1): exact,
+    but for values pushed below the normal floats."""
+    e = math.frexp(float(np.abs(x).max()))[1]
+    return np.ldexp(x, -e), e
+
+
+def _skewness(d, n: int) -> float:
+    """The adjusted skewness of the deviations d; not finite where m2**1.5 or
+    a cube leaves the normal floats. pow is not correctly rounded, so this
+    can change in the last bit when d is scaled by a power of two."""
+    spread = float((d @ d / n) ** 1.5)  # an np.float64 power: inf on overflow
+    if spread < _TINY:  # below the normal floats
+        return math.nan
+    g1 = float(np.sum(d**3)) / n / spread
+    return g1 * math.sqrt(n * (n - 1)) / (n - 2)
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationEntry:
@@ -419,7 +402,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationEntry:
 
     Two-sided p comes from t = r * sqrt((n-2)/(1-r^2)) with n-2 degrees of
     freedom; |r| = 1 reports p = 0. The returned n is the number of complete
-    pairs actually used.
+    pairs actually used. r is taken of the pairs scaled by exact powers of
+    two into [-1, 1], whose sums of products cannot leave the floats.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -433,6 +417,7 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationEntry:
         raise InsufficientDataError(
             f"need at least 3 complete pairs for a correlation, got {n}"
         )
+    xs, ys = _unit_scaled(xs)[0], _unit_scaled(ys)[0]
     if np.ptp(xs) == 0.0 or np.ptp(ys) == 0.0:
         raise UndefinedCorrelationError(
             "correlation undefined: one side is constant over the complete pairs"
@@ -453,26 +438,19 @@ def zscore(values: Sequence[float]) -> np.ndarray:
     """Standardize to mean 0 and sample sd 1 (negative below the mean).
 
     Centered twice so the output mean is zero to machine precision even for
-    series with a large mean-to-sd ratio. z is scale-free, so when a sum
-    over- or underflows it is taken of the values scaled by an exact power
-    of two.
+    series with a large mean-to-sd ratio. z is scale-free, so it is taken of
+    the values scaled by an exact power of two into [-1, 1], whose sums
+    cannot leave the floats.
     """
     x = np.asarray(values, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise InsufficientDataError("need at least 2 values to standardize")
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("values must be finite")
-    with np.errstate(over="ignore", invalid="ignore"):
-        d, sd = _centered(x)
-    if not 0.0 < sd < math.inf:
-        d, sd = _centered(_unit_scaled(x)[0])
+    x, _ = _unit_scaled(x)
+    d = x - x.mean()
+    d -= d.mean()
+    sd = math.sqrt(float(d @ d) / (x.size - 1))
     if sd == 0.0:
         raise DegenerateSeriesError("zero variance: z-scores are undefined")
     return d / sd
-
-
-def _centered(x):
-    """x centered twice, and its sample sd."""
-    d = x - x.mean()
-    d -= d.mean()
-    return d, math.sqrt(float(d @ d) / (x.size - 1))

@@ -1,0 +1,126 @@
+"""Output-identity corpus for the statkit kernels.
+
+Each group runs one kernel over fixed-seed, in-range inputs (magnitudes the
+kernels meet on real series) and hashes the ``repr`` of every result, or the
+type and message of every package error, one line per case. Two versions of
+the code give the same numbers on the corpus exactly when their hashes
+match. Like ``data/golden_evolve.json``, the hashes hold for the numpy and
+scipy versions that CI pins; another version may move a last bit.
+
+    PYTHONPATH=src python tests/identity.py > tests/data/identity.json
+
+prints the hashes as the JSON that ``tests/test_identity.py`` compares with.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import numpy as np
+
+from parasitech import (
+    ParasitechError,
+    TechSeries,
+    descriptive,
+    fit_logistic,
+    ols_simple,
+    pearson,
+    zscore,
+)
+
+SEED = 20261019
+CASES = 400
+
+
+def _record(call, *args) -> str:
+    try:
+        out = call(*args)
+    except ParasitechError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return repr(out.tolist() if isinstance(out, np.ndarray) else out)
+
+
+def _sample(rng, n: int):
+    """n values at a random magnitude and offset: times, levels or logs."""
+    kind = rng.integers(4)
+    scale = 10.0 ** rng.uniform(-8, 8)
+    if kind == 0:  # calendar years
+        return 1950.0 + np.cumsum(rng.uniform(0.1, 3.0, size=n))
+    if kind == 1:  # positive levels spanning decades
+        return scale * np.exp(rng.normal(0.0, 2.0, size=n))
+    if kind == 2:  # their logs
+        return np.log(scale * np.exp(rng.normal(0.0, 2.0, size=n)))
+    return scale * rng.normal(rng.uniform(-3, 3), 1.0, size=n)
+
+
+def _pair(rng):
+    n = int(rng.integers(3, 60))
+    x = _sample(rng, n)
+    y = rng.uniform(-3, 3) * x + _sample(rng, n)
+    if rng.integers(3) == 0:  # a few ties, as rounded data have
+        x = np.round(x, int(rng.integers(0, 3)))
+    return x, y
+
+
+def _ols_simple(rng):
+    return _record(ols_simple, *_pair(rng))
+
+
+def _pearson(rng):
+    x, y = _pair(rng)
+    if rng.integers(2):  # missing sides for the pairwise deletion
+        x[rng.random(x.size) < 0.1] = np.nan
+        y[rng.random(y.size) < 0.1] = np.nan
+    return _record(pearson, x, y)
+
+
+def _descriptive(rng):
+    values = _sample(rng, int(rng.integers(1, 60)))
+    if rng.integers(10) == 0:
+        values[:] = values[0]
+    return _record(descriptive, values)
+
+
+def _zscore(rng):
+    values = _sample(rng, int(rng.integers(2, 60)))
+    if rng.integers(10) == 0:
+        values[:] = values[0]
+    return _record(zscore, values)
+
+
+def _fit_logistic(rng):
+    n = int(rng.integers(4, 40))
+    times = rng.uniform(1900, 2050) + np.cumsum(rng.uniform(0.2, 2.0, size=n))
+    k, b = 10.0 ** rng.uniform(-6, 6), rng.uniform(0.02, 0.5)
+    a = b * rng.uniform(times[0], times[-1])
+    values = k / (1.0 + np.exp(a - b * times)) * np.exp(rng.normal(0, 0.05, n))
+    series = TechSeries("corpus", "host", "", times, values)
+    return _record(fit_logistic, series, float(rng.uniform(1.5, 20.0)))
+
+
+GROUPS = {
+    "ols_simple": _ols_simple,
+    "pearson": _pearson,
+    "descriptive": _descriptive,
+    "zscore": _zscore,
+    "fit_logistic": _fit_logistic,
+}
+
+
+def group_lines(name: str) -> list[str]:
+    """The corpus lines of one group."""
+    rng = np.random.default_rng([SEED, list(GROUPS).index(name)])
+    return [GROUPS[name](rng) for _ in range(CASES)]
+
+
+def hashes(names=tuple(GROUPS)) -> dict[str, str]:
+    """The sha256 of the lines of each named group, by group name."""
+    return {
+        name: hashlib.sha256("\n".join(group_lines(name)).encode()).hexdigest()
+        for name in names
+    }
+
+
+if __name__ == "__main__":
+    print(json.dumps(hashes(), indent=2))

@@ -2,8 +2,12 @@ import contextlib
 import io
 import json
 import math
+import os
 import statistics
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,6 +115,39 @@ class TestClassifyCommand:
             capsys, "classify", "--b", "1.2", "--se", "-0.1", "--n", "10"
         )
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("alpha", ["7", "0", "nan"])
+    def test_alpha_out_of_range_is_refused_in_both_modes(self, capsys, alpha):
+        # point mode runs no test, and printed a grade for any --alpha
+        point = run_cli(capsys, "classify", "--b", "1.2", "--alpha", alpha)
+        tested = run_cli(
+            capsys, "classify", "--b", "1.2", "--se", "0.1", "--n", "10",
+            "--alpha", alpha,
+        )
+        expected = f"DATA_ERROR: alpha must lie in (0, 1), got {float(alpha)!r}\n"
+        assert point == tested == (EXIT_DATA, "", expected)
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_stdout_ends_quietly_with_the_sigpipe_status(self, unbuffered):
+        # a reader that left early was reported as "DATA_ERROR: [Errno 32]
+        # Broken pipe" with exit code 2 on an unbuffered stdout, and by
+        # Python's exit-time flush, status 120, on a block-buffered one
+        src = Path(__file__).resolve().parent.parent / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "parasitech.cli", "classify", "--b", "1.2",
+             "--format", "json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**env, "PYTHONPATH": path},
+        )
+        proc.stdout.close()  # long before the CLI has imported numpy
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141
+        assert err == b""
 
 
 class TestUsageErrors:

@@ -6,6 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from parasitech import statkit
 from parasitech import (
@@ -98,27 +100,64 @@ class TestOlsSimple:
             ols_simple([1, 2], [1, 2])
 
     @pytest.mark.parametrize(
-        "x, e",
-        [
+        "x, e, f",
+        [  # the ids of the x-only cases predate f
             # the squared deviations overflowed: SEs (nan, 0.0) after warnings
-            ([1.0, 2.0, 3.0, 4.0], 700),
+            pytest.param([1.0, 2.0, 3.0, 4.0], 700, 0, id="x0-700"),
             # they underflowed to 0: a ZeroDivisionError
-            ([1.0, 2.0, 3.0, 4.0], -700),
+            pytest.param([1.0, 2.0, 3.0, 4.0], -700, 0, id="x1--700"),
             # the squared mean overflowed: an infinite intercept SE
-            ([2.0**40 + k for k in range(1, 5)], 490),
+            pytest.param([2.0**40 + k for k in range(1, 5)], 490, 0, id="x2-490"),
+            # y's squared deviations overflowed, with numpy warnings
+            pytest.param([1.0, 2.0, 3.0, 4.0], 0, 1000, id="y-1000"),
+            # they underflowed to 0: a silent "perfect fit" with R^2 0
+            pytest.param([1.0, 2.0, 3.0, 4.0], 0, -1000, id="y--1000"),
+            # the slope 0.8 * 2**(f - e) and its SE fell to 0 (t 0 and p 1)
+            pytest.param([1.0, 2.0, 3.0, 4.0], 1000, -100, id="slope-to-0"),
+            # and to subnormals, where t lost bits
+            pytest.param([1.0, 2.0, 3.0, 4.0], 960, -100, id="slope-subnormal"),
         ],
     )
-    def test_x_whose_sums_leave_the_floats(self, x, e):
-        # x * 2**e is fitted as x is; only the slope and its SE scale
+    def test_x_whose_sums_leave_the_floats(self, x, e, f):
+        # x * 2**e and y * 2**f are fitted as x and y are; the intercept and
+        # the SEs scale by 2**f and the slope and its SE by 2**(f - e)
         y = [1.0, 2.0, 4.0, 3.0]
         fit = ols_simple(x, y)
         (a, b), (se_a, se_b) = fit.coefficients, fit.standard_errors
         expected = replace(
             fit,
-            coefficients=(a, math.ldexp(b, -e)),
-            standard_errors=(se_a, math.ldexp(se_b, -e)),
+            coefficients=(math.ldexp(a, f), math.ldexp(b, f - e)),
+            standard_errors=(math.ldexp(se_a, f), math.ldexp(se_b, f - e)),
+            residual_se=math.ldexp(fit.residual_se, f),
         )
-        assert repr(ols_simple(np.ldexp(x, e), y)) == repr(expected)
+        assert repr(ols_simple(np.ldexp(x, e), np.ldexp(y, f))) == repr(expected)
+
+    @pytest.mark.parametrize(
+        "x, y, e, f",
+        [
+            # dy @ dy and the SSE overflowed: "F statistic must be
+            # nonnegative, got nan" after numpy warnings
+            ([1.0, 2.0, 3.0, 4.0], [1e300, -1e300, 1e300, -1e300], 0, 1000),
+            # the constant-x check x.max() - x.min() overflowed
+            ([-1e308, 1e308, 0.0, 1.0], [1.0, 2.0, 4.0, 3.0], 1024, 0),
+        ],
+    )
+    def test_extreme_pair_matches_the_sum_oracle(self, x, y, e, f):
+        # the oracle's raw sums stay in the floats for x / 2**e and y / 2**f
+        fit = ols_simple(x, y)
+        o = ols_simple_sums(np.ldexp(x, -e), np.ldexp(y, -f))
+
+        def close(expected):  # abs=0: the slope 5e-309 is compared too
+            return pytest.approx(expected, rel=1e-12, abs=0)
+
+        assert fit.coefficients == close(
+            (math.ldexp(o["intercept"], f), math.ldexp(o["slope"], f - e))
+        )
+        assert fit.standard_errors == close(
+            (math.ldexp(o["se_intercept"], f), math.ldexp(o["se_slope"], f - e))
+        )
+        assert fit.r2 == close(o["r2"])
+        assert fit.f_stat == close(o["f_stat"])
 
     def test_huge_x_keeps_its_standard_errors(self):
         r = ols_simple([1e200, 2e200, 3e200, 4e200], [1, 2, 4, 3])
@@ -130,7 +169,7 @@ class TestOlsSimple:
 
     def test_slope_beyond_the_floats_is_refused(self):
         x = np.ldexp([1.0, 2.0, 3.0, 4.0], -1000)
-        with pytest.raises(InvalidInputError, match="slope of y on x overflows"):
+        with pytest.raises(InvalidInputError, match="an estimate of y on x overflows"):
             ols_simple(x, [1e150, 0.0, 2e150, 1e150])
 
     def test_r2_equals_squared_correlation(self, rng):
@@ -467,6 +506,20 @@ class TestPearson:
         with pytest.raises(InsufficientDataError):
             pearson([1.0, 2.0, np.nan], [1.0, 2.0, 3.0])
 
+    def test_missing_side_is_too_few_pairs(self):
+        # scaling before this check would take the max of an empty array
+        with pytest.raises(InsufficientDataError, match="got 0"):
+            pearson([np.nan, np.nan, np.nan], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("c", [1e200, 1e160, 1e-160, 1e-200])
+    def test_scale_of_a_side_leaves_r(self, c):
+        # r was 0.0 at 1e200 and 1.0 at 1e-200 after numpy warnings, and
+        # 0.4000022 with none at 1e-160
+        x, y = [1.0, 2.0, 4.0, 3.0], [1.0, 3.0, 2.0, 4.0]
+        e = pearson(np.multiply(x, c), y)
+        assert e.r == pytest.approx(pearson_sums(x, y), rel=0, abs=1e-12)
+        assert e.p == pytest.approx(0.6, rel=1e-12)
+
     def test_constant_side(self):
         with pytest.raises(UndefinedCorrelationError):
             pearson([1.0, 1.0, 1.0, 1.0], [1.0, 2.0, 3.0, 4.0])
@@ -524,6 +577,45 @@ class TestZscore:
             zscore([3.0, 3.0, 3.0])
         with pytest.raises(InsufficientDataError):
             zscore([3.0])
+
+
+# in-range values: thousandths up to 1e3 in magnitude, whose sums, and the
+# results scaled back from them, stay normal under any 2**k with |k| <= 400
+_in_range = st.integers(-10**6, 10**6).map(lambda i: i / 1000)
+_pairs = st.integers(3, 30).flatmap(
+    lambda n: st.tuples(*[st.lists(_in_range, min_size=n, max_size=n)] * 2)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pairs, st.integers(-400, 400), st.integers(-400, 400))
+def test_power_of_two_scaling_is_exact(pair, k, j):
+    # every kernel fits its inputs scaled by a power of two, so x * 2**k and
+    # y * 2**j give the same bits as x and y, but for the estimates' scale.
+    # Skewness is left out: pow is not correctly rounded, so m2**1.5 and the
+    # cubes can change in the last bit under a power of two (120 of 200,000
+    # m2**1.5 results and 33 sets of cubes on random log-value samples).
+    x, y = map(np.array, pair)
+    assume(np.ptp(x) > 0 and np.ptp(y) > 0)
+    xs, ys = np.ldexp(x, k), np.ldexp(y, j)
+
+    assert repr(pearson(xs, ys)) == repr(pearson(x, y))
+    assert zscore(xs).tobytes() == zscore(x).tobytes()
+
+    scaled = ols_simple(xs, ys)
+    (a, b), (se_a, se_b) = scaled.coefficients, scaled.standard_errors
+    unscaled = replace(
+        scaled,
+        coefficients=(math.ldexp(a, -j), math.ldexp(b, k - j)),
+        standard_errors=(math.ldexp(se_a, -j), math.ldexp(se_b, k - j)),
+        residual_se=math.ldexp(scaled.residual_se, -j),
+    )
+    assert repr(unscaled) == repr(ols_simple(x, y))
+
+    d, ds = descriptive(x), descriptive(xs)
+    assert (math.ldexp(ds.mean, -k), math.ldexp(ds.sd, -k), repr(ds.kurtosis)) == (
+        d.mean, d.sd, repr(d.kurtosis)
+    )
 
 
 class TestStars:
