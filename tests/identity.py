@@ -24,6 +24,7 @@ from parasitech import (
     TechSeries,
     descriptive,
     fit_logistic,
+    ols_multi,
     ols_simple,
     pearson,
     zscore,
@@ -99,19 +100,53 @@ def _fit_logistic(rng):
     return _record(fit_logistic, series, float(rng.uniform(1.5, 20.0)))
 
 
+def design(rng):
+    """Predictor columns, y and the index of the column built as a linear
+    combination of earlier ones (one design in 8 with k > 1), else None.
+    y is the columns' signal plus noise from 1e-3 to 3 times its size."""
+    k = int(rng.integers(1, 6))
+    n = int(rng.integers(k + 2, 60 if rng.integers(4) else 2001))
+    columns = [_sample(rng, n) for _ in range(k)]
+    dependent = None
+    if k > 1 and rng.integers(8) == 0:
+        dependent = int(rng.integers(1, k))
+        columns[dependent] = sum(
+            rng.uniform(-3, 3) * c / np.std(c) for c in columns[:dependent]
+        )
+    signal = sum(rng.uniform(-3, 3) * c / np.std(c) for c in columns)
+    noise = 10.0 ** rng.uniform(-3, 0.5) * rng.normal(size=n)
+    return columns, 10.0 ** rng.uniform(-8, 8) * (signal + noise), dependent
+
+
+def _ols_multi(rng):
+    columns, y, _ = design(rng)
+    return _record(ols_multi, columns, y)
+
+
 GROUPS = {
     "ols_simple": _ols_simple,
     "pearson": _pearson,
     "descriptive": _descriptive,
     "zscore": _zscore,
     "fit_logistic": _fit_logistic,
+    "ols_multi": _ols_multi,
 }
+
+
+def _rng(name: str):
+    return np.random.default_rng([SEED, list(GROUPS).index(name)])
 
 
 def group_lines(name: str) -> list[str]:
     """The corpus lines of one group."""
-    rng = np.random.default_rng([SEED, list(GROUPS).index(name)])
+    rng = _rng(name)
     return [GROUPS[name](rng) for _ in range(CASES)]
+
+
+def designs():
+    """The ``ols_multi`` group's designs, as ``design`` gives them."""
+    rng = _rng("ols_multi")
+    return [design(rng) for _ in range(CASES)]
 
 
 def hashes(names=tuple(GROUPS)) -> dict[str, str]:
