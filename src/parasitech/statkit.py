@@ -221,7 +221,7 @@ def _result(coef, se, std_coef, sse, sst, n, k, exps=None) -> RegressionResult:
     """The record of an OLS fit with k predictors: tail tests, R^2s, F test.
     Estimate j was fitted 2**-exps[j] times its size and is scaled back after
     the t test, which that scale leaves alone; the residual SE scales as the
-    intercept. An estimate beyond the floats raises OverflowError."""
+    intercept. An estimate beyond the floats is an InvalidInputError."""
     exps = exps or (0,) * (k + 1)
     df_resid = n - k - 1
     s2 = sse / df_resid
@@ -229,9 +229,14 @@ def _result(coef, se, std_coef, sse, sst, n, k, exps=None) -> RegressionResult:
     r2_adj = 1.0 - (1.0 - r2) * (n - 1) / df_resid
     t_stats, p_values = _tail_stats(coef, se, df_resid)
     f_stat, f_p = _f_overall(sst, sse, k, df_resid)
+    try:
+        coef, se = tuple(map(math.ldexp, coef, exps)), tuple(map(math.ldexp, se, exps))
+        residual_se = math.ldexp(math.sqrt(s2), exps[0])
+    except OverflowError:
+        raise InvalidInputError("an estimate of y on x overflows the floats") from None
     return RegressionResult(
-        coefficients=tuple(map(math.ldexp, coef, exps)),
-        standard_errors=tuple(map(math.ldexp, se, exps)),
+        coefficients=coef,
+        standard_errors=se,
         t_stats=tuple(t_stats),
         p_values=tuple(p_values),
         standardized_coefficients=tuple(std_coef),
@@ -239,7 +244,7 @@ def _result(coef, se, std_coef, sse, sst, n, k, exps=None) -> RegressionResult:
         r2_adj=float(r2_adj),
         f_stat=float(f_stat),
         f_p=float(f_p),
-        residual_se=math.ldexp(math.sqrt(s2), exps[0]),
+        residual_se=residual_se,
         n=int(n),
         k=int(k),
         perfect_fit=s2 == 0.0,
@@ -278,10 +283,8 @@ def ols_simple(x: Sequence[float], y: Sequence[float]) -> RegressionResult:
     std_slope = slope * sd_x / sd_y if sd_y > 0 else math.nan
 
     coef, se = (intercept, slope), (se_intercept, se_slope)
-    try:  # y is 2**f times the y fitted and the slope 2**(f - e) times its
-        return _result(coef, se, (math.nan, std_slope), sse, sst, n, 1, (f, f - e))
-    except OverflowError:
-        raise InvalidInputError("an estimate of y on x overflows the floats") from None
+    # y is 2**f times the y fitted and the slope 2**(f - e) times its
+    return _result(coef, se, (math.nan, std_slope), sse, sst, n, 1, (f, f - e))
 
 
 def ols_multi(
@@ -289,49 +292,45 @@ def ols_multi(
 ) -> RegressionResult:
     """Multiple OLS of y on k predictor columns plus an intercept.
 
-    Solved by numpy's least squares (SVD); the design is rank-checked first
-    and a CollinearityError names the first offending column. Standardized
-    coefficient j is coef_j * sd(x_j) / sd(y).
+    Each column and y are scaled by exact powers of two into [-1, 1] and
+    centred; one QR factorisation of the columns gives the slopes and, from
+    R^-1's row norms, their standard errors. Column j depends on earlier
+    ones (a CollinearityError) when |R[j, j]| <= n * eps * ||column j||.
     """
-    X = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    shapes = {np.shape(c) for c in columns}
     y = np.asarray(y, dtype=float)
-    n, k = X.shape
-    if y.shape != (n,):
-        raise InvalidInputError("y length must match the predictor columns")
+    if shapes != {y.shape} or y.ndim != 1:
+        raise InvalidInputError("need one or more 1-d predictor columns of y's length")
+    X = np.asarray(columns, dtype=float)
+    k, n = X.shape
     if n < k + 2:
         raise InsufficientDataError(
             f"need at least k+2 = {k + 2} observations for {k} predictors, got {n}"
         )
-
-    design = np.column_stack([np.ones(n), X])
-    rank = 1
-    for j in range(k):
-        new_rank = int(np.linalg.matrix_rank(design[:, : j + 2]))
-        if new_rank == rank:
-            raise CollinearityError(
-                f"predictor column {j} is linearly dependent on earlier columns",
-                column_index=j,
-            )
-        rank = new_rank
-
-    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    fitted = design @ coef
-    residuals = y - fitted
-    sse = float(residuals @ residuals)
-    dy = y - y.mean()
-    sst = float(dy @ dy)
-    s2 = sse / (n - k - 1)
-    gram_inv = np.linalg.inv(design.T @ design)
-    se = np.sqrt(np.maximum(s2 * np.diag(gram_inv), 0.0))
-
-    sd_y = math.sqrt(sst / (n - 1))
-    std_coef = [math.nan]
-    for j in range(k):
-        sd_xj = float(np.std(X[:, j], ddof=1))
-        std_coef.append(coef[j + 1] * sd_xj / sd_y if sd_y > 0 else math.nan)
-
-    return _result(coef, se, std_coef, sse, sst, n, k)
-
+    (y, f), *scaled = map(_unit_scaled, (y, *X))
+    X = np.column_stack([x for x, _ in scaled])
+    x_mean, y_mean = X.mean(axis=0), y.mean()
+    dx, dy = X - x_mean, y - y_mean
+    q, r = np.linalg.qr(dx)
+    dependent = np.abs(r.diagonal()) <= n * 2.0**-52 * np.sqrt(np.vecdot(X, X, axis=0))
+    if dependent.any():
+        j = int(dependent.argmax())
+        raise CollinearityError(
+            f"predictor column {j} is linearly dependent on earlier columns",
+            column_index=j,
+        )
+    slopes = np.linalg.solve(r, q.T @ dy)
+    residuals = dy - dx @ slopes
+    sse, sst = float(residuals @ residuals), float(dy @ dy)
+    r_inv = np.linalg.inv(r)  # (dx' dx)^-1 = r_inv @ r_inv.T
+    g = x_mean @ r_inv  # the intercept's (X' X)^-1 entry is 1/n + g @ g
+    inv_diag = np.array([1.0 / n + g @ g, *np.vecdot(r_inv, r_inv)])
+    se = np.sqrt(inv_diag * sse / (n - k - 1))
+    sd_ratio = np.sqrt(np.vecdot(dx, dx, axis=0) / sst) if sst > 0 else math.nan
+    coef = (y_mean - x_mean @ slopes, *slopes)
+    std = (math.nan, *(slopes * sd_ratio).tolist())  # slope * sd(x) / sd(y)
+    exps = (f, *(f - e for _, e in scaled))  # y is 2**f times the y fitted
+    return _result(coef, se, std, sse, sst, n, k, exps)
 
 def descriptive(values: Sequence[float]) -> DescriptiveStats:
     """Mean, sample sd, adjusted skewness and excess kurtosis of a sample.
