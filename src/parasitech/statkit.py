@@ -302,6 +302,8 @@ def ols_multi(
     if shapes != {y.shape} or y.ndim != 1:
         raise InvalidInputError("need one or more 1-d predictor columns of y's length")
     X = np.asarray(columns, dtype=float)
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise InvalidInputError("predictor columns and y must be finite")
     k, n = X.shape
     if n < k + 2:
         raise InsufficientDataError(

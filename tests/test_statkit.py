@@ -268,6 +268,31 @@ class TestOlsMulti:
         with pytest.raises(InsufficientDataError):
             ols_multi([rng.normal(size=3), rng.normal(size=3)], rng.normal(size=3))
 
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "inf in a column",  # a false CollinearityError
+            "nan in a column",  # numpy's LinAlgError: SVD did not converge
+            "nan in y",  # "F statistic must be nonnegative, got nan"
+            "no columns",  # numpy's ValueError from column_stack
+            "unequal lengths",  # numpy's ValueError from column_stack
+            "2-d column",  # split into two predictors and fitted
+        ],
+    )
+    def test_malformed_input_is_invalid(self, rng, case):
+        x1, x2, x3, y = rng.normal(size=(4, 12))
+        finite, shape = "must be finite", "1-d predictor columns of y's length"
+        columns, y, message = {
+            "inf in a column": ([np.r_[x1[:-1], np.inf], x2], y, finite),
+            "nan in a column": ([np.r_[x1[:-1], np.nan], x2], y, finite),
+            "nan in y": ([x1, x2], np.r_[y[:-1], np.nan], finite),
+            "no columns": ([], y, shape),
+            "unequal lengths": ([x1, x2[:-1]], y, shape),
+            "2-d column": ([x1, np.column_stack([x2, x3])], y, shape),
+        }[case]
+        with pytest.raises(InvalidInputError, match=message):
+            ols_multi(columns, y)
+
     def test_standardized_equal_zscored_fit(self, rng):
         n, k = 30, 3
         X = [rng.normal(size=n) * rng.uniform(0.1, 5) for _ in range(k)]
