@@ -2,13 +2,15 @@
 
 Each oracle takes a deliberately different route from the code under test:
 textbook sum formulas for simple regression, explicit normal equations for
-multiple regression, quadrature of the density for distribution tails, and
+multiple regression (in floats, and solved exactly in integers), quadrature of the density for distribution tails, and
 a log-log straight-line fit of exactly generated curves for the power law,
 and the Monte Carlo recovery loop by way of whole simulated configs seeded
 and drawn by numpy's own SeedSequence and default_rng.
 """
 
 import math
+import operator
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
@@ -98,6 +100,57 @@ def ols_multi_normal_eq(columns, y) -> dict:
     sst = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - sse / sst if sst > 0 else 0.0
     return {"coefficients": beta, "standard_errors": se, "r2": r2}
+
+
+def _integers(column):
+    """Integers m and one power of two d with column == m / d, exactly."""
+    ratios = [float(v).as_integer_ratio() for v in column]
+    d = max(den for _, den in ratios)
+    return [num * (d // den) for num, den in ratios], d
+
+
+def ols_multi_exact(columns, y) -> dict:
+    """Multiple regression through the normal equations, solved exactly.
+
+    A float is an integer over a power of two, so the Gram matrix of
+    [1, columns, y] is exact in integers. Integer-preserving Gauss-Jordan
+    elimination, in which every division is exact, solves X'X b = X'y and
+    inverts X'X; no pivoting is needed, as X'X is positive definite for a
+    design of full rank. Only the returned statistics are rounded.
+    """
+    n = len(y)
+    ints, dens = zip(([1] * n, 1), *map(_integers, columns), _integers(y))
+    p = len(ints) - 1  # the intercept and the k predictors
+    gram = [[0] * (p + 1) for _ in range(p + 1)]
+    for a in range(p + 1):
+        for b in range(a, p + 1):
+            gram[a][b] = gram[b][a] = sum(map(operator.mul, ints[a], ints[b]))
+    # X'X = D^-1 S D^-1 with D = diag(dens): solve S z = S_y, invert S
+    rows = [gram[i][: p + 1] + [int(i == j) for j in range(p)] for i in range(p)]
+    det = 1
+    for c in range(p):
+        pivot = rows[c]
+        for r in range(p):
+            if r != c:
+                f = rows[r][c]
+                rows[r] = [(pivot[c] * a - f * b) // det for a, b in zip(rows[r], pivot)]
+        det = pivot[c]
+    # every diagonal entry is now det(S), and rows[i] det(S) times row i of [z | S^-1]
+    beta = [Fraction(rows[i][p] * dens[i], det * dens[p]) for i in range(p)]
+    inv_diag = [Fraction(rows[i][p + 1 + i] * dens[i] ** 2, det) for i in range(p)]
+    xy = [Fraction(gram[i][p], dens[i] * dens[p]) for i in range(p)]
+    yy = Fraction(gram[p][p], dens[p] ** 2)
+    sse = yy - sum(b * g for b, g in zip(beta, xy))
+    sst = yy - xy[0] ** 2 / n
+    k, df = p - 1, n - p
+    s2 = sse / df
+    return {
+        "coefficients": [float(b) for b in beta],
+        "standard_errors": [math.sqrt(s2 * v) for v in inv_diag],
+        "residual_se": math.sqrt(s2),
+        "r2_adj": float(1 - sse / sst * (n - 1) / df),
+        "f_stat": float((sst - sse) / k / s2),
+    }
 
 
 def pearson_sums(x, y) -> float:
