@@ -4,8 +4,12 @@ Each group runs one kernel over fixed-seed, in-range inputs (magnitudes the
 kernels meet on real series) and hashes the ``repr`` of every result, or the
 type and message of every package error, one line per case. Two versions of
 the code give the same numbers on the corpus exactly when their hashes
-match. Like ``data/golden_evolve.json``, the hashes hold for the numpy and
-scipy versions that CI pins; another version may move a last bit.
+match. Like ``data/golden_evolve.json`` and ``data/golden/``, the hashes
+hold for the numpy and scipy versions that CI pins and for the kernels
+those pick at run time: OpenBLAS's SkylakeX kernels and numpy's AVX-512
+loops. Another version, or another CPU (OPENBLAS_CORETYPE=Haswell, Zen or
+Sandybridge, or NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"),
+moves last bits and every group's hash.
 
     PYTHONPATH=src python tests/identity.py > tests/data/identity.json
 
