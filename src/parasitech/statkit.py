@@ -217,12 +217,11 @@ def _r2(sse: float, sst: float) -> float:
     return 1.0 - sse / sst if sst > 0 else 0.0
 
 
-def _result(coef, se, std_coef, sse, sst, n, k, exps=None) -> RegressionResult:
+def _result(coef, se, std_coef, sse, sst, n, k, exps) -> RegressionResult:
     """The record of an OLS fit with k predictors: tail tests, R^2s, F test.
     Estimate j was fitted 2**-exps[j] times its size and is scaled back after
     the t test, which that scale leaves alone; the residual SE scales as the
     intercept. An estimate beyond the floats is an InvalidInputError."""
-    exps = exps or (0,) * (k + 1)
     df_resid = n - k - 1
     s2 = sse / df_resid
     r2 = _r2(sse, sst)
@@ -333,6 +332,7 @@ def ols_multi(
     std = (math.nan, *(slopes * sd_ratio).tolist())  # slope * sd(x) / sd(y)
     exps = (f, *(f - e for _, e in scaled))  # y is 2**f times the y fitted
     return _result(coef, se, std, sse, sst, n, k, exps)
+
 
 def descriptive(values: Sequence[float]) -> DescriptiveStats:
     """Mean, sample sd, adjusted skewness and excess kurtosis of a sample.
