@@ -107,7 +107,8 @@ def _fit_logistic(rng):
 def design(rng):
     """Predictor columns, y and the index of the column built as a linear
     combination of earlier ones (one design in 8 with k > 1), else None.
-    y is the columns' signal plus noise from 1e-3 to 3 times its size."""
+    y is a random combination of the columns, each scaled to unit sd, plus
+    normal noise of sd 1e-3 to 3.2, all at a random magnitude."""
     k = int(rng.integers(1, 6))
     n = int(rng.integers(k + 2, 60 if rng.integers(4) else 2001))
     columns = [_sample(rng, n) for _ in range(k)]

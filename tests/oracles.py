@@ -2,8 +2,9 @@
 
 Each oracle takes a deliberately different route from the code under test:
 textbook sum formulas for simple regression, explicit normal equations for
-multiple regression (in floats, and solved exactly in integers), quadrature of the density for distribution tails, and
-a log-log straight-line fit of exactly generated curves for the power law,
+multiple regression (in floats, and solved exactly in integers), quadrature
+of the density for distribution tails, and a log-log straight-line fit of
+exactly generated curves for the power law,
 and the Monte Carlo recovery loop by way of whole simulated configs seeded
 and drawn by numpy's own SeedSequence and default_rng.
 """
@@ -133,9 +134,10 @@ def ols_multi_exact(columns, y) -> dict:
         for r in range(p):
             if r != c:
                 f = rows[r][c]
-                rows[r] = [(pivot[c] * a - f * b) // det for a, b in zip(rows[r], pivot)]
+                rows[r] = [(pivot[c] * a - f * b) // det
+                           for a, b in zip(rows[r], pivot)]
         det = pivot[c]
-    # every diagonal entry is now det(S), and rows[i] det(S) times row i of [z | S^-1]
+    # each diagonal entry is now det(S), and row i is det(S) times [z_i | S^-1 row i]
     beta = [Fraction(rows[i][p] * dens[i], det * dens[p]) for i in range(p)]
     inv_diag = [Fraction(rows[i][p + 1 + i] * dens[i] ** 2, det) for i in range(p)]
     xy = [Fraction(gram[i][p], dens[i] * dens[p]) for i in range(p)]

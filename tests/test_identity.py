@@ -32,12 +32,16 @@ def test_group_output_is_unchanged(group):
     assert digest == EXPECTED[group], f"the {group} outputs changed"
 
 
-@pytest.mark.parametrize("fmt, suffix", [("json", "json"), ("csv", "csv"), ("text", "txt")])
+@pytest.mark.parametrize(
+    "fmt, suffix", [("json", "json"), ("csv", "csv"), ("text", "txt")]
+)
 def test_evolve_multi_output_is_unchanged(fmt, suffix, tmp_path, capsys):
     # parasite1 on the host, parasite2 and parasite3, each read from the CSV
     # write_series_csv writes for it
     host, parasites = simulate_pair(MULTI_CONFIG)
-    paths = [str(write_series_csv(s, tmp_path / f"{s.name}.csv")) for s in (host, *parasites)]
+    paths = [
+        str(write_series_csv(s, tmp_path / f"{s.name}.csv")) for s in (host, *parasites)
+    ]
     argv = ["evolve-multi", "--host", paths[0], "--format", fmt]
     for path in paths[1:]:
         argv += ["--parasite", path]

@@ -268,8 +268,8 @@ class TestOlsMulti:
 
     def test_corpus_matches_the_exact_oracle(self):
         # lstsq with its default cutoff and inv(X'X) gave SEs and residual
-        # SEs off by up to 10x here, and refused 11 full-rank designs whose
-        # column scales differ widely as collinear
+        # SEs off by up to 10 times their size here, and refused 11
+        # full-rank designs whose column scales differ widely as collinear
         for columns, y, dependent in identity.designs():
             if dependent is not None:
                 with pytest.raises(CollinearityError) as exc:
