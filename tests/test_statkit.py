@@ -315,6 +315,12 @@ class TestOlsMulti:
         )
         assert repr(ols_multi([np.ldexp(x1, e), x2], np.ldexp(y, f))) == repr(expected)
 
+    def test_slope_beyond_the_floats_is_refused(self, rng):
+        # the x1 slope is about 2**(500 + 1000): a false CollinearityError
+        x1, x2, y = rng.normal(size=(3, 12))
+        with pytest.raises(InvalidInputError, match="an estimate of y on x overflows"):
+            ols_multi([np.ldexp(x1, -1000), x2], np.ldexp(y, 500))
+
     def test_too_few_rows(self, rng):
         with pytest.raises(InsufficientDataError):
             ols_multi([rng.normal(size=3), rng.normal(size=3)], rng.normal(size=3))
