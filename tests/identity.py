@@ -80,11 +80,16 @@ def _pearson(rng):
     return _record(pearson, x, y)
 
 
-def _descriptive(rng):
+def moment_sample(rng):
+    """1 to 59 values as ``_sample`` draws them; one sample in 10 constant."""
     values = _sample(rng, int(rng.integers(1, 60)))
     if rng.integers(10) == 0:
         values[:] = values[0]
-    return _record(descriptive, values)
+    return values
+
+
+def _descriptive(rng):
+    return _record(descriptive, moment_sample(rng))
 
 
 def _zscore(rng):
@@ -146,6 +151,12 @@ def group_lines(name: str) -> list[str]:
     """The corpus lines of one group."""
     rng = _rng(name)
     return [GROUPS[name](rng) for _ in range(CASES)]
+
+
+def moment_samples():
+    """The ``descriptive`` group's samples, as ``moment_sample`` gives them."""
+    rng = _rng("descriptive")
+    return [moment_sample(rng) for _ in range(CASES)]
 
 
 def designs():

@@ -2,13 +2,15 @@
 
 Each oracle takes a deliberately different route from the code under test:
 textbook sum formulas for simple regression, explicit normal equations for
-multiple regression (in floats, and solved exactly in integers), quadrature
+multiple regression (in floats, and solved exactly in integers), exact
+integer moment sums for the descriptives, quadrature
 of the density for distribution tails, and a log-log straight-line fit of
 exactly generated curves for the power law,
 and the Monte Carlo recovery loop by way of whole simulated configs seeded
 and drawn by numpy's own SeedSequence and default_rng.
 """
 
+import decimal
 import math
 import operator
 from fractions import Fraction
@@ -183,6 +185,44 @@ def moments_brute(values) -> dict:
         (n - 2) * (n - 3)
     )
     return {"mean": mean, "sd": sd, "skewness": skew, "kurtosis": kurt}
+
+
+def moments_exact(values) -> dict:
+    """Mean, sample sd, adjusted skewness and excess kurtosis, and the
+    central moments m2, m4 and mean |d|^3, as ``descriptive`` defines them.
+
+    The values are integers m_i over one power of two q, so n q d_i =
+    n m_i - sum(m) is an integer D_i and every moment is an exact fraction.
+    Kurtosis is rational in the D_i; sd and skewness take one square root,
+    in decimal at 50 digits. Only sd, skewness and kurtosis are rounded,
+    and skewness and kurtosis are None where ``descriptive`` has them so.
+    """
+    ints, q = _integers(values)
+    n, total = len(ints), sum(ints)
+    dev = [n * m - total for m in ints]  # n q d_i
+    s2, s3, s4 = (sum(d**p for d in dev) for p in (2, 3, 4))
+    nq = n * q
+    out = {
+        "mean": Fraction(total, nq),
+        "m2": Fraction(s2, n * nq**2),
+        "m3_abs": Fraction(sum(abs(d) ** 3 for d in dev), n * nq**3),
+        "m4": Fraction(s4, n * nq**4),
+        "skewness": None,
+        "kurtosis": None,
+    }
+    with decimal.localcontext(prec=50):
+        s2_dec = decimal.Decimal(s2)
+        out["sd"] = float((s2_dec / max(n - 1, 1)).sqrt() / nq)
+        if s2 and n >= 3:  # m3 / m2**1.5 * sqrt(n(n-1)) / (n-2)
+            root = decimal.Decimal(n - 1).sqrt()
+            out["skewness"] = float(s3 * n * root / (s2_dec * s2_dec.sqrt() * (n - 2)))
+    if s2 and n >= 4:  # z4 = sum(z^4) = (n-1)^2 s4 / s2^2
+        z4 = Fraction((n - 1) ** 2 * s4, s2**2)
+        out["kurtosis"] = float(
+            Fraction(n * (n + 1), (n - 1) * (n - 2) * (n - 3)) * z4
+            - Fraction(3 * (n - 1) ** 2, (n - 2) * (n - 3))
+        )
+    return out
 
 
 def logistic_exact(k: float, a: float, b: float, t):

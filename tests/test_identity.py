@@ -1,6 +1,7 @@
 """The statkit kernels reproduce the identity corpus (``identity.py``) bit
 for bit: each group's sha256 is the one stored in ``data/identity.json``.
-``evolve-multi`` reproduces its goldens in ``data/golden/`` byte for byte."""
+``evolve-multi`` and ``stats`` reproduce their goldens in ``data/golden/``
+byte for byte."""
 
 import json
 from pathlib import Path
@@ -48,3 +49,16 @@ def test_evolve_multi_output_is_unchanged(fmt, suffix, tmp_path, capsys):
     assert run(argv) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert out == (DATA / "golden" / f"evolve_multi.{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize("scale", ["raw", "log"])
+@pytest.mark.parametrize("fmt, suffix", [("json", "json"), ("text", "txt")])
+def test_stats_output_is_unchanged(scale, fmt, suffix, tmp_path, capsys):
+    # the descriptives of MULTI_CONFIG's host, read from the CSV
+    # write_series_csv writes for it
+    host, _ = simulate_pair(MULTI_CONFIG)
+    path = str(write_series_csv(host, tmp_path / "host.csv"))
+    argv = ["stats", "--input", path, "--format", fmt]
+    assert run(argv + ["--log"] * (scale == "log")) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert out == (DATA / "golden" / f"stats_{scale}.{suffix}").read_bytes()

@@ -31,6 +31,7 @@ import identity
 from oracles import (
     f_sf_quad,
     moments_brute,
+    moments_exact,
     ols_multi_exact,
     ols_multi_normal_eq,
     ols_simple_sums,
@@ -491,6 +492,60 @@ class TestTCritical:
         np.testing.assert_allclose(student_t_sf(t, 20), 0.05, atol=1e-12)
 
 
+def _assert_moments_within_bounds(values):
+    """descriptive(values) is within forward-error bounds of the exact moments.
+
+    The bounds follow from the two-pass algorithm, to first order in the unit
+    roundoff u = 2**-53, for sums taken in any order (scaling by a power of
+    two is exact). With sigma = sqrt(m2), kappa = max|x| / sigma,
+    S3 = mean|d|^3 / sigma^3 >= 1 and S4 = m4 / sigma^4 >= 1:
+    - mean: a sum of n values is off by at most (n - 1) u sum|x| and the
+      division adds u |mean|, so the mean is off by |delta| <= n u kappa sigma.
+    - The deviations are (d_i - delta)(1 + e_i), |e_i| <= u, and sum d_i = 0.
+    - sd: sum (d_i - delta)^2 = ss + n delta^2. Rounding the deviations,
+      squaring and summing add (n + 2) u to ss, relative; the division and
+      the root add 2u more. sd is off by (n/2 + 3) u + (n u kappa)^2 / 2.
+    - skewness c_n g1, with c_n = sqrt(n(n-1))/(n-2) and |g1| <= S3:
+      sum (d_i - delta)^3 = sum d_i^3 - 3 delta ss + O(delta^2), which moves
+      g1 by 3 n u kappa; rounding the cubes and their sum adds (n + 4) u S3;
+      m2 * sqrt(m2) is off by (1.5 n + 6.5) u relative, and so is g1; c_n and
+      the divisions add 5u. In all c_n (3 n kappa + (2.5 n + 15.5) S3) u.
+    - kurtosis k_n S4 - b_n, with k_n = (n+1)(n-1)/((n-2)(n-3)) and
+      b_n = 3(n-1)^2/((n-2)(n-3)) <= 3 k_n: sum (d_i - delta)^4 moves by at
+      most 4 |delta| sum|d_i|^3, so S4 by 4 n u kappa S3; z_i = d_i / sd is off
+      by (n/2 + 5) u, z_i^4 by four times that plus 2u and their sum by
+      (n - 1) u more, so S4 by (3n + 21) u S4; the factors, b_n and the
+      subtraction add (4 + 12 + 4) u k_n S4. In all
+      k_n (4 n kappa S3 + (3n + 41) S4) u.
+    t = C n eps with eps = 2u and C = 8, so 16 n u, covers every coefficient
+    for n >= 3 (the largest, (3n + 41) u at n = 4, is 53u against 64u), and
+    (t kappa)^2 covers the terms of second order in delta / sigma.
+    """
+    d, exact = descriptive(values), moments_exact(values)
+    n = d.n
+    assert (d.skewness is None, d.kurtosis is None) == (
+        exact["skewness"] is None, exact["kurtosis"] is None
+    )
+    t, largest = 8 * n * 2.0**-52, float(np.abs(values).max())
+    assert abs(fractions.Fraction(d.mean) - exact["mean"]) <= t * largest
+    if exact["m2"] == 0:
+        assert d.sd == 0.0
+        return
+    sigma = math.sqrt(exact["m2"])
+    kappa = largest / sigma
+    s3, s4 = float(exact["m3_abs"]) / sigma**3, float(exact["m4"]) / sigma**4
+    second = (t * kappa) ** 2
+    assert abs(d.sd - exact["sd"]) <= (t + second) * exact["sd"]
+    if n >= 3:
+        c_n = math.sqrt(n * (n - 1)) / (n - 2)
+        bound = c_n * (t * (kappa + s3) + second * s3)
+        assert abs(d.skewness - exact["skewness"]) <= bound
+    if n >= 4:
+        k_n = (n + 1) * (n - 1) / ((n - 2) * (n - 3))
+        bound = k_n * (t * (kappa * s3 + s4) + second * s4)
+        assert abs(d.kurtosis - exact["kurtosis"]) <= bound
+
+
 class TestDescriptive:
     def test_simple(self):
         d = descriptive([1.0, 2.0, 3.0])
@@ -519,6 +574,21 @@ class TestDescriptive:
         np.testing.assert_allclose(d.sd, o["sd"], rtol=1e-12)
         np.testing.assert_allclose(d.skewness, o["skewness"], rtol=0, atol=1e-10)
         np.testing.assert_allclose(d.kurtosis, o["kurtosis"], rtol=0, atol=1e-10)
+
+    def test_corpus_matches_the_exact_moments(self):
+        for values in identity.moment_samples():
+            _assert_moments_within_bounds(values)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_long_log_series_match_the_exact_moments(self, seed):
+        # logs shaped like batch-report's series: a host trending over 2,000
+        # years with noise, a parasite on it, and the years themselves
+        rng = np.random.default_rng(seed)
+        host = 0.5 + 0.002 * np.arange(2000) + 0.05 * rng.standard_normal(2000)
+        a, b = rng.uniform(-1.0, 1.0), rng.uniform(0.6, 1.8)
+        parasite = a + b * host + 0.05 * rng.standard_normal(2000)
+        for values in (host, parasite, 1000.0 + np.arange(2000)):
+            _assert_moments_within_bounds(values)
 
     def test_empty_rejected(self):
         with pytest.raises(InsufficientDataError):
