@@ -423,9 +423,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationEntry:
         raise UndefinedCorrelationError(
             "correlation undefined: one side is constant over the complete pairs"
         )
-    dx = xs - xs.mean()
-    dy = ys - ys.mean()
-    r = float(dx @ dy / math.sqrt(float(dx @ dx) * float(dy @ dy)))
+    (_, dx, sxx), (_, dy, syy) = _x_sums(xs), _x_sums(ys)
+    r = float(np.vecdot(dx, dy) / math.sqrt(float(sxx) * float(syy)))
     r = max(-1.0, min(1.0, r))
     if abs(r) == 1.0:
         p = 0.0
