@@ -25,8 +25,6 @@ from .errors import (
     UndefinedCorrelationError,
 )
 
-_TINY = 2.0**-1022  # the smallest normal float
-
 # The sum and the dot product along the last axis: of 1-d arrays, and per
 # row of 2-d stacks, kept as (rows, 1) columns. (keepdims=False costs a 1-d
 # call, made ~61 times per fit_logistic, ~0.4 us more than no keyword.)
@@ -340,9 +338,9 @@ def descriptive(values: Sequence[float]) -> DescriptiveStats:
     Skewness is the adjusted Fisher-Pearson coefficient
     g1 * sqrt(n(n-1))/(n-2); kurtosis is the excess form
     n(n+1)/((n-1)(n-2)(n-3)) * sum(z^4) - 3(n-1)^2/((n-2)(n-3)) with z
-    standardized by the sample sd. All but skewness (see ``_skewness``) are
-    taken of the values scaled by an exact power of two into [-1, 1], whose
-    sums of powers cannot leave the floats; an sd beyond the floats is inf.
+    standardized by the sample sd. All are taken of the values scaled by an
+    exact power of two into [-1, 1], whose sums of powers cannot leave the
+    floats; an sd beyond the floats is inf.
     """
     x = np.asarray(values, dtype=float)
     if x.ndim != 1 or x.size < 1:
@@ -351,32 +349,31 @@ def descriptive(values: Sequence[float]) -> DescriptiveStats:
         raise InvalidInputError("values must be finite")
     n = x.size
     scaled, e = _unit_scaled(x)
-    scaled_mean = float(scaled.mean())
+    scaled_mean, d, ss = _x_sums(scaled)
     mean = math.ldexp(scaled_mean, e)
 
     if np.all(x == x[0]) or n == 1:
         return DescriptiveStats(n=n, mean=mean, sd=0.0, skewness=None, kurtosis=None)
 
-    d = scaled - scaled_mean
-    sd = math.sqrt(float(d @ d) / (n - 1))  # positive: the values differ
-
-    skewness = None
+    # One |x| is scaled into [0.5, 1) and the values differ, so max |d| >=
+    # 2**-55: m2 * sqrt(m2), and each cube or z^4 large enough to move its
+    # sum, stay far above the subnormals for any n that fits in memory
+    sd = math.sqrt(ss / (n - 1))
+    skewness = kurtosis = None
     if n >= 3:
-        with np.errstate(over="ignore", invalid="ignore"):
-            skewness = _skewness(x - mean, n)
-        if not math.isfinite(skewness):
-            skewness = _skewness(d, n)
-
-    kurtosis = None
+        m2 = float(ss) / n
+        g1 = float(np.add.reduce(d * d * d)) / n / (m2 * math.sqrt(m2))
+        skewness = g1 * math.sqrt(n * (n - 1)) / (n - 2)
     if n >= 4:
-        z4 = float(np.sum((d / sd) ** 4))
+        z2 = np.square(d / sd)
         kurtosis = (
-            n * (n + 1) / ((n - 1) * (n - 2) * (n - 3)) * z4
+            n * (n + 1) / ((n - 1) * (n - 2) * (n - 3)) * float(np.add.reduce(z2 * z2))
             - 3.0 * (n - 1) ** 2 / ((n - 2) * (n - 3))
         )
-
-    with np.errstate(over="ignore"):  # an sd beyond the floats is inf
-        sd = float(np.ldexp(sd, e))
+    try:
+        sd = math.ldexp(sd, e)
+    except OverflowError:  # an sd beyond the floats
+        sd = math.inf
     return DescriptiveStats(n=n, mean=mean, sd=sd, skewness=skewness, kurtosis=kurtosis)
 
 
@@ -385,17 +382,6 @@ def _unit_scaled(x):
     but for values pushed below the normal floats."""
     e = math.frexp(float(np.abs(x).max()))[1]
     return np.ldexp(x, -e), e
-
-
-def _skewness(d, n: int) -> float:
-    """The adjusted skewness of the deviations d; not finite where m2**1.5 or
-    a cube leaves the normal floats. pow is not correctly rounded, so this
-    can change in the last bit when d is scaled by a power of two."""
-    spread = float((d @ d / n) ** 1.5)  # an np.float64 power: inf on overflow
-    if spread < _TINY:  # below the normal floats
-        return math.nan
-    g1 = float(np.sum(d**3)) / n / spread
-    return g1 * math.sqrt(n * (n - 1)) / (n - 2)
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationEntry:

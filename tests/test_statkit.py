@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from parasitech import statkit
@@ -741,12 +741,12 @@ _pairs = st.integers(3, 30).flatmap(
 
 @settings(max_examples=200, deadline=None)
 @given(_pairs, st.integers(-400, 400), st.integers(-400, 400))
+# skewness took pow of the unscaled deviations: 0.546997465912897 here,
+# against 0.5469974659128971 unscaled
+@example(([-478.467, 345.169, -143.338], [1.0, 2.0, 4.0]), -349, 0)
 def test_power_of_two_scaling_is_exact(pair, k, j):
     # every kernel fits its inputs scaled by a power of two, so x * 2**k and
-    # y * 2**j give the same bits as x and y, but for the estimates' scale.
-    # Skewness is left out: pow is not correctly rounded, so m2**1.5 and the
-    # cubes can change in the last bit under a power of two (120 of 200,000
-    # m2**1.5 results and 33 sets of cubes on random log-value samples).
+    # y * 2**j give the same bits as x and y, but for the estimates' scale
     x, y = map(np.array, pair)
     assume(np.ptp(x) > 0 and np.ptp(y) > 0)
     xs, ys = np.ldexp(x, k), np.ldexp(y, j)
@@ -765,9 +765,8 @@ def test_power_of_two_scaling_is_exact(pair, k, j):
     assert repr(unscaled) == repr(ols_simple(x, y))
 
     d, ds = descriptive(x), descriptive(xs)
-    assert (math.ldexp(ds.mean, -k), math.ldexp(ds.sd, -k), repr(ds.kurtosis)) == (
-        d.mean, d.sd, repr(d.kurtosis)
-    )
+    unscaled = replace(ds, mean=math.ldexp(ds.mean, -k), sd=math.ldexp(ds.sd, -k))
+    assert repr(unscaled) == repr(d)
 
 
 @settings(max_examples=200, deadline=None)
