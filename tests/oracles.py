@@ -3,11 +3,11 @@
 Each oracle takes a deliberately different route from the code under test:
 textbook sum formulas for simple regression, explicit normal equations for
 multiple regression (in floats, and solved exactly in integers), exact
-integer moment sums for the descriptives, quadrature
-of the density for distribution tails, and a log-log straight-line fit of
-exactly generated curves for the power law,
-and the Monte Carlo recovery loop by way of whole simulated configs seeded
-and drawn by numpy's own SeedSequence and default_rng.
+integer moment sums for the descriptives, quadrature of the density for
+distribution tails, and a log-log straight-line fit of exactly generated
+curves for the power law, and the Monte Carlo recovery loop by way of
+whole simulated configs seeded and drawn by numpy's own SeedSequence and
+default_rng.
 """
 
 import decimal
