@@ -99,14 +99,20 @@ def _zscore(rng):
     return _record(zscore, values)
 
 
-def _fit_logistic(rng):
+def logistic_case(rng):
+    """A series of 4 to 39 noisy samples of a logistic law, and the
+    k_max_factor to fit it with."""
     n = int(rng.integers(4, 40))
     times = rng.uniform(1900, 2050) + np.cumsum(rng.uniform(0.2, 2.0, size=n))
     k, b = 10.0 ** rng.uniform(-6, 6), rng.uniform(0.02, 0.5)
     a = b * rng.uniform(times[0], times[-1])
     values = k / (1.0 + np.exp(a - b * times)) * np.exp(rng.normal(0, 0.05, n))
     series = TechSeries("corpus", "host", "", times, values)
-    return _record(fit_logistic, series, float(rng.uniform(1.5, 20.0)))
+    return series, float(rng.uniform(1.5, 20.0))
+
+
+def _fit_logistic(rng):
+    return _record(fit_logistic, *logistic_case(rng))
 
 
 def design(rng):
@@ -157,6 +163,13 @@ def moment_samples():
     """The ``descriptive`` group's samples, as ``moment_sample`` gives them."""
     rng = _rng("descriptive")
     return [moment_sample(rng) for _ in range(CASES)]
+
+
+def logistic_cases():
+    """The ``fit_logistic`` group's (series, k_max_factor) pairs, as
+    ``logistic_case`` gives them."""
+    rng = _rng("fit_logistic")
+    return [logistic_case(rng) for _ in range(CASES)]
 
 
 def designs():

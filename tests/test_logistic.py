@@ -18,6 +18,7 @@ from parasitech import (
     ols_simple,
 )
 from parasitech.logistic import K_SEARCH_RTOL, _logit_r2, k_search_bracket
+import identity
 from oracles import logistic_exact, power_law_loglog_fit
 
 
@@ -213,6 +214,38 @@ class TestKSearch:
         lo, hi = k_search_bracket(s, 10.0)
         assert report.k_at_bound
         assert 0 < report.params.k - lo <= K_SEARCH_RTOL * hi
+
+
+def assert_reports_ols_line(series, k_max_factor=10.0):
+    """fit_logistic's a, b and R^2 are, to the bit, those of ols_simple's
+    logit line at the K it returns (repr tells -0.0 from 0.0)."""
+    report = fit_logistic(series, k_max_factor)
+    k, v = report.params.k, series.values
+    fit = ols_simple(series.times, np.log((k - v) / v))
+    intercept, slope = fit.coefficients
+    reported = (report.params.a, report.params.b, report.r2_logit)
+    assert repr(reported) == repr((intercept, -slope, fit.r2))
+
+
+class TestReportedLine:
+    # both sides run on the same kernels, so this holds on any CPU
+    def test_reported_line_on_the_identity_corpus(self):
+        for series, k_max_factor in identity.logistic_cases():
+            assert_reports_ols_line(series, k_max_factor)
+
+    @pytest.mark.parametrize("e", [-665, 665, -1000])
+    def test_reported_line_at_extreme_time_scales(self, e):
+        times = np.ldexp([1, 2, 3, 4, 5], e)
+        assert_reports_ols_line(TechSeries("s", "host", "", times, [1, 2, 4, 7, 9]))
+
+    def test_reported_line_beyond_the_floats_is_refused(self):
+        # times at 2**-1030 put the logit slope near -2**1030
+        times = np.ldexp([1, 2, 3, 4, 5], -1030)
+        s = TechSeries("s", "host", "", times, [1, 2, 4, 7, 9])
+        with pytest.raises(
+            InvalidInputError, match="an estimate of y on x overflows the floats"
+        ):
+            fit_logistic(s)
 
 
 class TestDerivePowerLaw:
