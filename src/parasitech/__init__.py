@@ -27,7 +27,6 @@ from .errors import (
     HarnessError,
     InsufficientDataError,
     InvalidInputError,
-    InvalidKError,
     NoOverlapError,
     ParasitechError,
     SeriesFormatError,
@@ -60,7 +59,6 @@ from .logistic import (
     fit_logistic,
     forecast_series,
     logistic_value,
-    logit_transform,
 )
 from .simulate import (
     RecoverySummary,

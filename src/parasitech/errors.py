@@ -50,10 +50,6 @@ class EmptySeriesError(DataError):
     """Parsing produced no valid observations."""
 
 
-class InvalidKError(DataError):
-    """Equilibrium level K does not exceed every observed value."""
-
-
 class DegenerateSeriesError(DataError):
     """A series has zero variance where variation is required."""
 

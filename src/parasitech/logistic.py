@@ -30,12 +30,7 @@ from scipy.special import expit
 
 from . import statkit
 from .core import TechSeries
-from .errors import (
-    FitFailureError,
-    InsufficientDataError,
-    InvalidInputError,
-    InvalidKError,
-)
+from .errors import FitFailureError, InsufficientDataError, InvalidInputError
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 
@@ -113,29 +108,6 @@ def logistic_value(params: LogisticParams, t):
     return out
 
 
-def logit_transform(series: TechSeries, k: float):
-    """Map values v to log((k - v)/v), paired with their times.
-
-    Requires k to exceed every value with margin: points within 1e-12*k of k
-    would blow up the log and are rejected.
-    """
-    k = float(k)
-    if not (math.isfinite(k) and k > 0):
-        raise InvalidKError(f"K must be a positive finite real, got {k!r}")
-    values = series.values
-    vmax = float(values.max())
-    if k <= vmax:
-        raise InvalidKError(
-            f"K={k} must exceed the largest observed value {vmax} of {series.name!r}"
-        )
-    if k - vmax < 1e-12 * k:
-        raise InvalidKError(
-            f"K={k} is within 1e-12*K of the largest observed value; "
-            "logit transform is numerically undefined there"
-        )
-    return series.times, np.log((k - values) / values)
-
-
 def k_search_bracket(series: TechSeries, k_max_factor: float) -> tuple[float, float]:
     """The interval (max*(1+1e-6), max*k_max_factor) that the K search spans."""
     if not (math.isfinite(k_max_factor) and k_max_factor > 1.0 + 1e-6):
@@ -152,21 +124,22 @@ def k_search_bracket(series: TechSeries, k_max_factor: float) -> tuple[float, fl
     return vmax * (1.0 + 1e-6), hi
 
 
-def _logit_r2(series: TechSeries):
-    """K -> ``ols_simple(*logit_transform(series, K)).r2`` for K in the
-    search bracket, with the sums over t formed once and only R^2 built.
-    R^2 does not depend on t's scale, so t is fitted as ``ols_simple``
-    fits it: scaled by an exact power of two into [-1, 1]."""
+def _logit_line(series: TechSeries):
+    """K -> (R^2, intercept, slope, e) of the least-squares line of
+    log((K - v)/v) on t, for K in the search bracket, with the sums over t
+    formed once. t is fitted as ``ols_simple`` fits it, scaled by an exact
+    power of two into [-1, 1]: the slope is that on t / 2**e, and R^2 and
+    the intercept do not depend on t's scale."""
     values = series.values
-    t, _ = statkit._unit_scaled(series.times)
+    t, e = statkit._unit_scaled(series.times)
     t_sums = statkit._x_sums(t)
 
-    def r2_at(k: float) -> float:
+    def line_at(k: float):
         y = np.log((k - values) / values)
-        _, _, sse, sst = statkit._line(t, y, *t_sums)
-        return statkit._r2(sse, sst)
+        intercept, slope, sse, sst = statkit._line(t, y, *t_sums)
+        return statkit._r2(sse, sst), intercept, slope, e
 
-    return r2_at
+    return line_at
 
 
 def fit_logistic(series: TechSeries, k_max_factor: float = 10.0) -> LogisticFitReport:
@@ -174,8 +147,8 @@ def fit_logistic(series: TechSeries, k_max_factor: float = 10.0) -> LogisticFitR
 
     K is searched over (max*(1+1e-6), max*k_max_factor] by golden-section,
     maximizing the R^2 of the straight-line fit of log((K-v)/v) against t;
-    a is the fitted intercept and b the negated slope. A non-positive b
-    (no growth trend) is a fit failure.
+    a is the intercept and b the negated slope of the search's own line at
+    the K returned. A non-positive b (no growth trend) is a fit failure.
     """
     if series.n < 4:
         raise InsufficientDataError(
@@ -187,38 +160,41 @@ def fit_logistic(series: TechSeries, k_max_factor: float = 10.0) -> LogisticFitR
             f"series {series.name!r} is constant; no growth law to fit"
         )
     lo, hi = k_search_bracket(series, k_max_factor)
-    r2_at = _logit_r2(series)
+    line_at = _logit_line(series)
 
     # Golden-section maximization of R^2(K). ~90 shrinks take the bracket
     # below float spacing; the objective is smooth and unimodal in practice.
     a_br, b_br = lo, hi
     c = b_br - _INV_PHI * (b_br - a_br)
     d = a_br + _INV_PHI * (b_br - a_br)
-    fc, fd = r2_at(c), r2_at(d)
+    fc, fd = line_at(c)[0], line_at(d)[0]
     for _ in range(90):
         if fc > fd:
             b_br, d, fd = d, c, fc
             c = b_br - _INV_PHI * (b_br - a_br)
-            fc = r2_at(c)
+            fc = line_at(c)[0]
         else:
             a_br, c, fc = c, d, fd
             d = a_br + _INV_PHI * (b_br - a_br)
-            fd = r2_at(d)
+            fd = line_at(d)[0]
         if b_br - a_br <= K_SEARCH_RTOL * hi:
             break
     k_best = 0.5 * (a_br + b_br)
 
-    fit = statkit.ols_simple(*logit_transform(series, k_best))
-    intercept, slope = fit.coefficients
+    r2, intercept, slope, e = line_at(k_best)
+    try:
+        slope = math.ldexp(slope, -e)
+    except OverflowError:
+        raise InvalidInputError("an estimate of y on x overflows the floats") from None
     if slope >= 0.0:
         raise FitFailureError(
             f"series {series.name!r}: logit slope is nonnegative (b <= 0); "
             "no increasing logistic trend"
         )
-    params = LogisticParams(k=k_best, a=float(intercept), b=float(-slope))
+    params = LogisticParams(k=k_best, a=float(intercept), b=-slope)
     k_at_bound = hi - k_best <= 0.01 * (hi - lo) or k_best - lo <= K_SEARCH_RTOL * hi
     return LogisticFitReport(
-        params=params, r2_logit=float(fit.r2), k_at_bound=k_at_bound, n=series.n
+        params=params, r2_logit=float(r2), k_at_bound=k_at_bound, n=series.n
     )
 
 

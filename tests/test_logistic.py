@@ -7,17 +7,15 @@ from parasitech import (
     FitFailureError,
     InsufficientDataError,
     InvalidInputError,
-    InvalidKError,
     LogisticParams,
     TechSeries,
     derive_power_law,
     fit_logistic,
     forecast_series,
     logistic_value,
-    logit_transform,
     ols_simple,
 )
-from parasitech.logistic import K_SEARCH_RTOL, _logit_r2, k_search_bracket
+from parasitech.logistic import K_SEARCH_RTOL, _logit_line, k_search_bracket
 import identity
 from oracles import logistic_exact, power_law_loglog_fit
 
@@ -86,37 +84,6 @@ class TestLogisticValue:
         assert np.all(np.diff(logistic_value(p, t)) > 0)
 
 
-class TestLogitTransform:
-    def test_midpoint_maps_to_zero(self):
-        s = TechSeries("s", "host", "", [0, 1, 2], [2.0, 5.0, 8.0])
-        _, logits = logit_transform(s, 10.0)
-        assert logits[1] == 0.0
-
-    def test_invalid_k(self):
-        s = TechSeries("s", "host", "", [0, 1], [2.0, 5.0])
-        with pytest.raises(InvalidKError):
-            logit_transform(s, 5.0)
-        with pytest.raises(InvalidKError):
-            logit_transform(s, 4.0)
-
-    def test_near_k_guard(self):
-        v = 10.0
-        s = TechSeries("s", "host", "", [0, 1], [2.0, v])
-        with pytest.raises(InvalidKError):
-            logit_transform(s, v * (1 + 1e-14))
-
-    def test_exact_samples_are_collinear(self):
-        p = LogisticParams(k=50.0, a=4.0, b=0.5)
-        t = np.linspace(0, 16, 15)
-        s = series_from_params(p, t)
-        times, logits = logit_transform(s, p.k)
-        slope, intercept = np.polyfit(times, logits, 1)
-        np.testing.assert_allclose(slope, -p.b, rtol=1e-9)
-        np.testing.assert_allclose(intercept, p.a, rtol=1e-9)
-        residuals = logits - (intercept + slope * times)
-        assert np.max(np.abs(residuals)) < 1e-9
-
-
 class TestFitLogistic:
     def test_recovers_noiseless_params(self):
         true = LogisticParams(k=100.0, a=5.0, b=0.25)
@@ -173,6 +140,17 @@ class TestFitLogistic:
         with pytest.raises(InsufficientDataError):
             fit_logistic(s)
 
+    def test_slope_whose_se_leaves_the_floats_still_fits(self):
+        # a poor line on times at 2**-1026: the slope's SE, which the fit
+        # does not report, overflows the floats and the slope does not
+        values = [8, 2, 1, 4, 7]
+        unit = fit_logistic(TechSeries("s", "host", "", [1, 2, 3, 4, 5], values))
+        times = np.ldexp([1, 2, 3, 4, 5], -1026)
+        report = fit_logistic(TechSeries("s", "host", "", times, values))
+        assert (report.params.k, report.params.a) == (unit.params.k, unit.params.a)
+        assert report.params.b == math.ldexp(unit.params.b, 1026)
+        assert report.r2_logit == unit.r2_logit
+
     def test_bad_k_max_factor(self):
         s = TechSeries("s", "host", "", [0, 1, 2, 3], [1.0, 2, 3, 4])
         with pytest.raises(InvalidInputError):
@@ -181,9 +159,10 @@ class TestFitLogistic:
 
 class TestKSearch:
     def test_probe_r2_is_the_final_fits_r2(self):
-        # the search scores K without building a RegressionResult; its R^2
-        # must equal ols_simple's to the bit, or the search could pick
-        # another K than the final fit reports
+        # the search scores K, and reports its line at the K it returns,
+        # without building a RegressionResult; the probe's R^2, intercept
+        # and slope must equal ols_simple's to the bit, or the search could
+        # pick or report another line than ols_simple fits at that K
         rng = np.random.default_rng(61)
         for _ in range(60):
             n = int(rng.integers(4, 50))
@@ -193,10 +172,13 @@ class TestKSearch:
             noise = np.exp(rng.normal(0.0, rng.choice([0.0, 0.05, 0.3]), n))
             s = TechSeries("s", "parasite", "", t, logistic_value(law, t) * noise)
             lo, hi = k_search_bracket(s, 10.0)
-            r2_at = _logit_r2(s)
+            line_at = _logit_line(s)
             near_lo = lo * (1 + 10.0 ** -rng.uniform(1, 12, 5))
             for k in [lo, hi, *rng.uniform(lo, hi, 5), *near_lo]:
-                assert r2_at(float(k)) == ols_simple(*logit_transform(s, k)).r2
+                r2, intercept, slope, e = line_at(float(k))
+                fit = ols_simple(t, np.log((k - s.values) / s.values))
+                assert r2 == fit.r2
+                assert (intercept, math.ldexp(slope, -e)) == fit.coefficients
 
     def test_bracket(self):
         s = TechSeries("s", "host", "", [0, 1, 2, 3], [1.0, 2.0, 3.0, 4.0])

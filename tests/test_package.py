@@ -28,7 +28,13 @@ def test_public_api_exports():
 
 @pytest.mark.parametrize(
     "module, name",
-    [("io", "ReportFormat"), ("core", "GRADE_NAMES"), ("core", "prediction_label")],
+    [
+        ("io", "ReportFormat"),
+        ("core", "GRADE_NAMES"),
+        ("core", "prediction_label"),
+        ("logistic", "logit_transform"),
+        ("errors", "InvalidKError"),
+    ],
 )
 def test_removed_names_are_gone(module, name):
     assert name not in parasitech.__all__
