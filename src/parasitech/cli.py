@@ -303,6 +303,12 @@ def _cmd_forecast(args) -> int:
         raise InvalidInputError(
             f"--to {args.to} precedes the last observed time {t_last}"
         )
+    widest = max(abs(t_last), abs(args.to))
+    if args.step <= math.ulp(widest):
+        raise InvalidInputError(
+            f"--step {args.step} does not advance time: the floats near "
+            f"{widest} are {math.ulp(widest)} apart"
+        )
     stop = args.to + args.step / 2.0
     # np.arange's row count, checked before anything is allocated
     if (stop - t_last) / args.step > FORECAST_MAX_ROWS:

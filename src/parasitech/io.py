@@ -421,6 +421,14 @@ def _text_correlations(corr: CorrelationMatrix) -> list[str]:
     return lines
 
 
+def _csv_cell(text: str) -> str:
+    """text as one CSV cell: quoted, its quotes doubled, when it holds a
+    comma, a quote or a line break (RFC 4180)."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _csv_row(kind, target, source, n, reg, cls) -> str:
     """One report CSV row; coefficient 1 is the host in simple and multi fits."""
     coefs = (
@@ -430,7 +438,7 @@ def _csv_row(kind, target, source, n, reg, cls) -> str:
     stats = (reg.r2, reg.r2_adj, reg.residual_se, reg.f_stat, reg.f_p)
     grade = [cls.grade, cls.mode, cls.evolution_label, cls.symbol] if cls else [""] * 4
     return ",".join(
-        [kind, target, source, str(n), *map(_num, coefs)]
+        [kind, _csv_cell(target), _csv_cell(source), str(n), *map(_num, coefs)]
         + [significance_stars(reg.p_values[1]), *map(_num, stats), *map(str, grade)]
     )
 

@@ -751,6 +751,27 @@ class TestSimulateAndRecover:
 
 class TestForecastGrid:
     @pytest.mark.parametrize(
+        "to, step",
+        [
+            ("1000000.0000001", "1e-12"),  # 100,001 rows, all at t = 1e6
+            ("1000000.0000001", "1e-10"),  # rows past --to
+            ("1000000", "1e-300"),  # no row at all
+        ],
+    )
+    def test_step_that_does_not_advance_time_is_data_error(
+        self, capsys, tmp_path, to, step
+    ):
+        t = np.linspace(1e6 - 40, 1e6, 20)
+        values = 100.0 / (1.0 + np.exp(5.0 - 0.25 * (t - t[0])))
+        path = write_series(tmp_path, "s.csv", t, values)
+        code, out, err = run_cli(
+            capsys, "forecast", "--input", str(path), "--to", to, "--step", step
+        )
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err.startswith("DATA_ERROR: --step") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "flag, value",
         [("--step", "nan"), ("--to", "nan"), ("--to", "inf"), ("--to", "1e300")],
     )

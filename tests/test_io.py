@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -279,6 +281,26 @@ class TestRenderReportCsv:
         assert cells[0] == "simple"
         assert cells[1] == "engine"
         assert cells[2] == "host"
+
+    @pytest.mark.parametrize("multi", [False, True])
+    def test_names_with_separators_keep_their_cells(self, rng, multi):
+        # a name holding a comma, a quote or a line break is one quoted cell
+        t = np.arange(1950, 1994)
+        host = make_series("h,1", t, np.exp(rng.uniform(0.5, 3.0, t.size)), role="host")
+        parasites = [
+            make_series(name, t, np.exp(rng.uniform(0.5, 3.0, t.size)))
+            for name in ('a,b', 'say "c"\r\nd')
+        ]
+        report = build_report(host, parasites, multi=multi)
+        text = render_report(report, "csv").decode("utf-8")
+        header, *rows = csv.reader(io.StringIO(text, newline=""))
+        assert rows and all(len(row) == len(header) for row in rows)
+        if multi:
+            assert [row[1:3] for row in rows] == [["a,b", 'h,1;say "c"\r\nd']]
+        else:
+            assert [row[1:3] for row in rows] == [
+                ["a,b", "h,1"], ['say "c"\r\nd', "h,1"]
+            ]
 
     def test_unknown_format(self, report):
         with pytest.raises(InvalidInputError):
