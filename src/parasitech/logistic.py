@@ -191,7 +191,7 @@ def fit_logistic(series: TechSeries, k_max_factor: float = 10.0) -> LogisticFitR
             f"series {series.name!r}: logit slope is nonnegative (b <= 0); "
             "no increasing logistic trend"
         )
-    params = LogisticParams(k=k_best, a=float(intercept), b=-slope)
+    params = LogisticParams(k=k_best, a=intercept, b=-slope)
     k_at_bound = hi - k_best <= 0.01 * (hi - lo) or k_best - lo <= K_SEARCH_RTOL * hi
     return LogisticFitReport(
         params=params, r2_logit=float(r2), k_at_bound=k_at_bound, n=series.n
