@@ -1,4 +1,4 @@
-"""Output-identity corpus for the statkit kernels.
+"""Output-identity corpus for the statkit kernels and the series parser.
 
 Each group runs one kernel over fixed-seed, in-range inputs (magnitudes the
 kernels meet on real series) and hashes the ``repr`` of every result, or the
@@ -9,7 +9,9 @@ hold for the numpy and scipy versions that CI pins and for the kernels
 those pick at run time: OpenBLAS's SkylakeX kernels and numpy's AVX-512
 loops. Another version, or another CPU (OPENBLAS_CORETYPE=Haswell, Zen or
 Sandybridge, or NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"),
-moves last bits and every group's hash.
+moves last bits and every group's hash, but for ``parse_series_csv``'s:
+its files are decimal text drawn by ``random.Random``, and parsing them
+goes through no BLAS or SIMD kernel, so that group holds on any CPU.
 
     PYTHONPATH=src python tests/identity.py > tests/data/identity.json
 
@@ -20,6 +22,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -30,6 +35,7 @@ from parasitech import (
     fit_logistic,
     ols_multi,
     ols_simple,
+    parse_series_csv,
     pearson,
     zscore,
 )
@@ -139,6 +145,66 @@ def _ols_multi(rng):
     return _record(ols_multi, columns, y)
 
 
+def _numeral(r: random.Random) -> str:
+    """A value cell: mostly a positive decimal, at times one that is not
+    positive, or one near the float maximum, whose duplicates' float mean
+    or median overflows."""
+    kind = r.randrange(12)
+    if kind == 0:
+        return r.choice(["0", "-0.0", "0.0", f"-{r.randint(1, 99)}.{r.randint(0, 9)}"])
+    if kind == 1:
+        return f"1.{r.randint(0, 79):02d}e308"
+    return f"{r.randint(1, 99999)}.{r.randint(0, 999)}e{r.randint(-12, 12)}"
+
+
+_FATAL_ROWS = ("1990", "1990,2,3", "1990,", "1990,abc", "x,1", "inf,1", "1990,nan",
+               "1e999,1", "1990,-inf")
+
+
+def series_text(r: random.Random) -> tuple[str, str]:
+    """The text of a ``t,value`` file and the aggregator to read it with.
+
+    Rows fall on a few years, so duplicate groups are common, and -0.0 and
+    0.0 share a year; cells carry spaces, and comments, blank and
+    whitespace-only lines come between the rows. One file in eight starts
+    with a byte-order mark and one in four ends its lines with CRLF. A few
+    files have a wrong or no header, no rows, or one fatal row.
+    """
+    years = [str(y) for y in r.sample(range(1900, 2030), r.randint(1, 12))]
+    years += ["-0.0", "0.0", "0", f"{r.randint(1900, 2030)}.5"]
+    header = r.choice(["t,value"] * 8 + ["T, Value", " t , VALUE "])
+    lines = [header] if r.randrange(30) else [r.choice(["time,value", "t"])]
+    for _ in range(r.randint(0, 30)):
+        kind = r.randrange(10)
+        if kind == 0:
+            lines.append(r.choice(["", "   ", "\t", "# a comment", "  # t,value"]))
+        else:
+            t, v = r.choice(years), _numeral(r)
+            lines.append(r.choice([f"{t},{v}", f"{t},{v}", f" {t} , {v} ", f"{t} ,{v}"]))
+    if not r.randrange(20):
+        lines.insert(r.randint(1, len(lines)), r.choice(_FATAL_ROWS))
+    if not r.randrange(30):
+        lines = [line for line in lines if line.startswith("#")] or ["# no header"]
+    text = r.choice(["\n"] * 3 + ["\r\n"]).join(lines) + "\n"
+    if not r.randrange(8):
+        text = "\ufeff" + text
+    return text, r.choice(["mean", "median", "max"])
+
+
+def _series_outcome(path, aggregator):
+    parsed = parse_series_csv(path, aggregator=aggregator)
+    return parsed.parsed.times.tolist(), parsed.parsed.values.tolist(), parsed.warnings
+
+
+def _parse_series_csv(rng):
+    text, aggregator = series_text(random.Random(int(rng.integers(2**63))))
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "series.csv"
+        path.write_bytes(text.encode("utf-8"))
+        line = _record(_series_outcome, path, aggregator)
+    return line.replace(directory, "<dir>")  # messages name the file
+
+
 GROUPS = {
     "ols_simple": _ols_simple,
     "pearson": _pearson,
@@ -146,6 +212,7 @@ GROUPS = {
     "zscore": _zscore,
     "fit_logistic": _fit_logistic,
     "ols_multi": _ols_multi,
+    "parse_series_csv": _parse_series_csv,
 }
 
 

@@ -7,13 +7,15 @@ integer moment sums for the descriptives, quadrature of the density for
 distribution tails, and a log-log straight-line fit of exactly generated
 curves for the power law, and the Monte Carlo recovery loop by way of
 whole simulated configs seeded and drawn by numpy's own SeedSequence and
-default_rng.
+default_rng, and a ``t,value`` file read one line at a time by ``float()``.
 """
 
 import decimal
 import math
 import operator
+import statistics
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad
@@ -252,6 +254,85 @@ def power_law_loglog_fit(host_kab, parasite_kab, n_points: int = 200) -> tuple:
     log_p = np.log(logistic_exact(k2, a2, b2, t))
     slope, intercept = np.polyfit(log_h, log_p, 1)
     return float(slope), float(intercept)
+
+
+def parse_series_reference(path, aggregator: str = "mean") -> tuple:
+    """The times, values and warnings of a ``t,value`` file, read line by
+    line with ``float()`` into a dict keyed by t (the parser's loop before
+    it read the cells with numpy). Raises the errors the parser raises, with
+    the same messages."""
+    from parasitech import EmptySeriesError, SeriesFormatError
+
+    text = Path(path).read_text(encoding="utf-8-sig")
+    warnings = []
+    by_t, duplicated = {}, {}
+    header_seen = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not header_seen:
+            cells = [c.strip().lower() for c in line.split(",")]
+            if cells != ["t", "value"]:
+                raise SeriesFormatError(
+                    f"{path}: line {lineno}: expected header 't,value', got {raw!r}"
+                )
+            header_seen = True
+            continue
+        cells = line.split(",")
+        if len(cells) != 2:
+            raise SeriesFormatError(
+                f"{path}: line {lineno}: expected 2 columns, got {len(cells)}"
+            )
+        try:
+            t = float(cells[0])
+            v = float(cells[1])
+        except ValueError:
+            raise SeriesFormatError(
+                f"{path}: line {lineno}: non-numeric cell in {raw!r}"
+            ) from None
+        if not (math.isfinite(t) and math.isfinite(v)):
+            raise SeriesFormatError(
+                f"{path}: line {lineno}: non-finite number in {raw!r}"
+            )
+        if v <= 0:
+            warnings.append(
+                f"line {lineno}: non-positive value {v!r} rejected "
+                "(log scale requires positive values)"
+            )
+            continue
+        first = by_t.get(t)
+        if first is None:
+            by_t[t] = v
+        else:
+            duplicated.setdefault(t, [first]).append(v)
+    if not header_seen:
+        raise SeriesFormatError(f"{path}: missing 't,value' header")
+    if not by_t:
+        raise EmptySeriesError(f"{path}: no valid observations")
+    times = sorted(by_t)
+    for t in times:
+        group = duplicated.get(t)
+        if group is not None:
+            warnings.append(
+                f"{len(group)} rows share t={t!r}; aggregated by {aggregator}"
+            )
+            by_t[t] = _aggregate_reference(aggregator, group)
+    return times, [by_t[t] for t in times], tuple(warnings)
+
+
+def _aggregate_reference(aggregator: str, group: list) -> float:
+    """fmean, median or max of finite floats; a mean or median whose float
+    arithmetic overflows is formed from the exact rationals."""
+    float_form = {"mean": statistics.fmean, "median": statistics.median, "max": max}
+    try:
+        value = float(float_form[aggregator](group))
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        exact = {"mean": statistics.mean, "median": statistics.median}[aggregator]
+        value = float(exact(map(Fraction, group)))
+    return value
 
 
 def recovery_reference(config, replicates: int, early_phase_only: bool = True):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from parasitech import (
     EmptySeriesError,
     InvalidInputError,
+    ParasitechError,
     SeriesFormatError,
     TechSeries,
     build_report,
@@ -23,6 +24,7 @@ from parasitech import (
 )
 from parasitech.io import _json_text
 from conftest import make_series
+from oracles import parse_series_reference
 
 
 def write(tmp_path, text, name="series.csv"):
@@ -148,6 +150,62 @@ class TestParseSeriesCsv:
         back = parse_series_csv(path, name="s").parsed
         # exact round trip: shortest-repr decimal text preserves every bit
         assert back == original
+
+
+# cells that float() and numpy's reader may take differently: underscores,
+# Unicode spaces and digits, \x1f (a space to numpy only), NUL, and text
+# numpy refuses but float() reads
+_ODD_CELLS = ["1_0", "2\u00a0", "\u00a02", "\u0663", "3\x1f", "\x1f3", "4\x00",
+              "5\u3000", "0x10", '"6"', "", "abc", "1 2", "inf", "-inf", "nan",
+              "1e400", "1e-400"]
+_T_CELLS = st.sampled_from(
+    ["1990", "1991", "1990.0", "2e3", "-0.0", "0.0", "0", " 1992 ", *_ODD_CELLS]
+)
+_V_CELLS = st.one_of(
+    st.floats(min_value=1e-300, max_value=1e300).map(repr),
+    st.sampled_from(["0", "-0.0", "-2.5", "1.7e308", "1.6e308", " 7.5 ", *_ODD_CELLS]),
+)
+_LINES = st.one_of(
+    st.tuples(_T_CELLS, _V_CELLS).map(",".join),
+    st.tuples(_T_CELLS, _V_CELLS).map(",".join),
+    st.sampled_from(["", "  ", "\t", "# note", " # 1,2", "1,2,3", "5", ",", "1,2,"]),
+)
+
+
+def _parse_outcome(parse, path, aggregator):
+    """repr of the times, values and warnings, or the error type and message."""
+    try:
+        times, values, warnings = parse(path, aggregator)
+    except ParasitechError as exc:
+        return type(exc).__name__, str(exc)
+    return repr(list(times)), repr(list(values)), warnings
+
+
+def _parse_library(path, aggregator):
+    sf = parse_series_csv(path, aggregator=aggregator)
+    return sf.parsed.times.tolist(), sf.parsed.values.tolist(), sf.warnings
+
+
+class TestParseSeriesCsvReference:
+    @given(
+        header=st.sampled_from(["t,value", "T , Value", "time,value", None]),
+        lines=st.lists(_LINES, max_size=12),
+        newline=st.sampled_from(["\n", "\r\n", "\r"]),
+        bom=st.booleans(),
+        aggregator=st.sampled_from(["mean", "median", "max"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_line_loop(
+        self, tmp_path_factory, header, lines, newline, bom, aggregator
+    ):
+        # the parser and the float() line loop in oracles.py agree on every
+        # value, warning and error, -0.0 and 0.0 told apart
+        text = newline.join([header] * (header is not None) + lines) + newline
+        path = tmp_path_factory.getbasetemp() / "reference.csv"
+        path.write_bytes(("\ufeff" * bom + text).encode("utf-8"))
+        assert _parse_outcome(_parse_library, path, aggregator) == _parse_outcome(
+            parse_series_reference, path, aggregator
+        )
 
 
 class TestRenderReportText:
