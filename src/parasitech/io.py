@@ -13,9 +13,12 @@ from __future__ import annotations
 import json
 import math
 import statistics
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+
+import numpy as np
 
 from .core import TechSeries
 from .errors import EmptySeriesError, InvalidInputError, SeriesFormatError
@@ -61,76 +64,86 @@ def parse_series_csv(
     Comment lines (``#``) and blank lines are skipped. Rows with a
     non-positive value are rejected with a warning naming the line; rows
     sharing the same t are collapsed by ``aggregator`` (mean, median or max)
-    with a warning. Non-numeric cells and a missing header are fatal.
+    with a warning. Non-numeric cells, a missing header and text that is not
+    UTF-8 are fatal.
     """
     path = Path(path)
     if aggregator not in AGGREGATORS:
         raise InvalidInputError(
             f"aggregator must be one of {sorted(AGGREGATORS)}, got {aggregator!r}"
         )
-    text = path.read_text(encoding="utf-8-sig")
+    try:
+        text = path.read_bytes().decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as err:
+        raise SeriesFormatError(
+            f"{path}: not UTF-8 text: byte {err.start} ({err.reason})"
+        ) from None
 
-    warnings: list[str] = []
-    by_t: dict[float, float] = {}
-    duplicated: dict[float, list[float]] = {}
-    header_seen = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_seen:
-            cells = [c.strip().lower() for c in line.split(",")]
-            if cells != ["t", "value"]:
-                raise SeriesFormatError(
-                    f"{path}: line {lineno}: expected header 't,value', got {raw!r}"
-                )
-            header_seen = True
-            continue
-        cells = line.split(",")
-        if len(cells) != 2:
-            raise SeriesFormatError(
-                f"{path}: line {lineno}: expected 2 columns, got {len(cells)}"
-            )
-        try:
-            t = float(cells[0])
-            v = float(cells[1])
-        except ValueError:
-            raise SeriesFormatError(
-                f"{path}: line {lineno}: non-numeric cell in {raw!r}"
-            ) from None
-        if not (math.isfinite(t) and math.isfinite(v)):
-            raise SeriesFormatError(
-                f"{path}: line {lineno}: non-finite number in {raw!r}"
-            )
-        if v <= 0:
-            warnings.append(
-                f"line {lineno}: non-positive value {v!r} rejected "
-                "(log scale requires positive values)"
-            )
-            continue
-        first = by_t.get(t)
-        if first is None:
-            by_t[t] = v
-        else:
-            duplicated.setdefault(t, [first]).append(v)
-    if not header_seen:
+    lines = text.splitlines()
+    stripped = [raw.strip() for raw in lines]
+    index = [i for i, line in enumerate(stripped) if line and line[0] != "#"]
+    if not index:
         raise SeriesFormatError(f"{path}: missing 't,value' header")
-    if not by_t:
+    head, index = index[0], index[1:]
+    if [c.strip().lower() for c in stripped[head].split(",")] != ["t", "value"]:
+        raise SeriesFormatError(
+            f"{path}: line {head + 1}: expected header 't,value', got {lines[head]!r}"
+        )
+    # numpy's C reader parses the rows (not none: it warns; nor \x1f, which it
+    # takes for a space); float()'s loop reads what it refuses (1_0, Unicode
+    # digits) and raises the fatal errors, at the first bad line
+    table = np.empty((0, 2))
+    with suppress(ValueError):
+        if index and "\x1f" not in text:
+            data = [stripped[i] for i in index]
+            table = np.loadtxt(data, delimiter=",", comments=None, ndmin=2)
+    if table.shape != (len(index), 2) or not np.isfinite(table).all():
+        rows = []
+        for i in index:
+            cells = stripped[i].split(",")
+            if len(cells) != 2:
+                raise SeriesFormatError(
+                    f"{path}: line {i + 1}: expected 2 columns, got {len(cells)}"
+                )
+            try:
+                rows.append([float(cells[0]), float(cells[1])])
+            except ValueError:
+                raise SeriesFormatError(
+                    f"{path}: line {i + 1}: non-numeric cell in {lines[i]!r}"
+                ) from None
+            if not all(map(math.isfinite, rows[-1])):
+                raise SeriesFormatError(
+                    f"{path}: line {i + 1}: non-finite number in {lines[i]!r}"
+                )
+        table = np.array(rows)
+    t, v = table[:, 0], table[:, 1]
+
+    warnings = [
+        f"line {index[i] + 1}: non-positive value {float(v[i])!r} rejected "
+        "(log scale requires positive values)"
+        for i in np.flatnonzero(v <= 0)
+    ]
+    t, v = t[v > 0], v[v > 0]
+    if not t.size:
         raise EmptySeriesError(f"{path}: no valid observations")
 
-    # one row is its own mean, median and max: only duplicates are aggregated;
-    # the warning names the first row's t (0.0 and -0.0 are one year)
-    times = sorted(by_t)
-    for t in times:
-        group = duplicated.get(t)
-        if group is not None:
-            warnings.append(
-                f"{len(group)} rows share t={t!r}; aggregated by {aggregator}"
-            )
-            by_t[t] = _aggregate(aggregator, group)
+    # a year's rows stay in file order, so the year keeps its first row's t
+    # (0.0 and -0.0 are one year); one row is its own mean, median and max:
+    # only duplicates are aggregated
+    order = np.argsort(t, kind="stable")
+    t, v = t[order], v[order]
+    starts = np.flatnonzero(np.concatenate(([True], t[1:] != t[:-1])))
+    counts = np.diff(starts, append=t.size)
+    values = v[starts]
+    for j in np.flatnonzero(counts > 1):
+        group = v[starts[j] : starts[j] + counts[j]].tolist()
+        warnings.append(
+            f"{len(group)} rows share t={float(t[starts[j]])!r}; "
+            f"aggregated by {aggregator}"
+        )
+        values[j] = _aggregate(aggregator, group)
     series = TechSeries(
-        name if name is not None else path.stem, role, units, times,
-        [by_t[t] for t in times],
+        name if name is not None else path.stem, role, units, t[starts], values
     )
     return SeriesFile(path=str(path), parsed=series, warnings=tuple(warnings))
 

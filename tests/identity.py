@@ -180,7 +180,8 @@ def series_text(r: random.Random) -> tuple[str, str]:
             lines.append(r.choice(["", "   ", "\t", "# a comment", "  # t,value"]))
         else:
             t, v = r.choice(years), _numeral(r)
-            lines.append(r.choice([f"{t},{v}", f"{t},{v}", f" {t} , {v} ", f"{t} ,{v}"]))
+            spaced = [f"{t},{v}", f"{t},{v}", f" {t} , {v} ", f"{t} ,{v}"]
+            lines.append(r.choice(spaced))
     if not r.randrange(20):
         lines.insert(r.randint(1, len(lines)), r.choice(_FATAL_ROWS))
     if not r.randrange(30):

@@ -64,6 +64,17 @@ class TestParseSeriesCsv:
         sf = parse_series_csv(path)
         np.testing.assert_array_equal(sf.parsed.values, [2.5, 2.7])
 
+    def test_non_utf8_names_the_byte(self, tmp_path):
+        # the offset counts the byte-order mark: it is the byte's place in
+        # the file
+        path = tmp_path / "series.csv"
+        path.write_bytes(b"\xef\xbb\xbft,value\n1,2\n2,\xe9\n")
+        with pytest.raises(SeriesFormatError) as err:
+            parse_series_csv(path)
+        assert str(err.value) == (
+            f"{path}: not UTF-8 text: byte 17 (invalid continuation byte)"
+        )
+
     def test_missing_header(self, tmp_path):
         with pytest.raises(SeriesFormatError):
             parse_series_csv(write(tmp_path, "1920,2.5\n1921,2.7\n"))
