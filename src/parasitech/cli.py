@@ -400,7 +400,7 @@ def _parse_logistic_json(obj, label: str) -> LogisticParams:
 def _cmd_recover(args) -> int:
     try:
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise InvalidInputError(f"{args.config}: invalid JSON ({err})") from None
     if not isinstance(raw, dict):
         raise InvalidInputError(f"{args.config}: config must be a JSON object")

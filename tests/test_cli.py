@@ -881,6 +881,28 @@ class TestCliContract:
         assert out == ""
         assert err.startswith("DATA_ERROR:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["stats", "evolve", "recover"])
+    def test_non_utf8_input_is_one_data_error_line(
+        self, capsys, tmp_path, inputs, command
+    ):
+        # a byte that is not UTF-8 ended each command with a
+        # UnicodeDecodeError traceback and exit 1
+        bad = tmp_path / "bad"
+        text = b'{"seed": "\xff"}' if command == "recover" else b"t,value\n1,\xff"
+        bad.write_bytes(text)
+        host = str(inputs["host"])
+        argv = {
+            "stats": ["stats", "--input", str(bad)],
+            "evolve": ["evolve", "--host", host, "--parasite", str(bad)],
+            "recover": ["recover", "--config", str(bad), "--replicates", "3"],
+        }[command]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err.startswith(f"DATA_ERROR: {bad}: ") and err.count("\n") == 1
+        # each names the offset of the file's first bad byte
+        assert ("position 10:" if command == "recover" else "byte 10 ") in err
+
 
 SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.5, 0.5, 1e300, -1e300]
 flag_floats = st.one_of(
