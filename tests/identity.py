@@ -161,7 +161,7 @@ _FATAL_ROWS = ("1990", "1990,2,3", "1990,", "1990,abc", "x,1", "inf,1", "1990,na
                "1e999,1", "1990,-inf")
 
 
-def series_text(r: random.Random) -> tuple[str, str]:
+def _series_text(r: random.Random) -> tuple[str, str]:
     """The text of a ``t,value`` file and the aggregator to read it with.
 
     Rows fall on a few years, so duplicate groups are common, and -0.0 and
@@ -198,7 +198,7 @@ def _series_outcome(path, aggregator):
 
 
 def _parse_series_csv(rng):
-    text, aggregator = series_text(random.Random(int(rng.integers(2**63))))
+    text, aggregator = _series_text(random.Random(int(rng.integers(2**63))))
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "series.csv"
         path.write_bytes(text.encode("utf-8"))

@@ -221,7 +221,8 @@ class TestParseSeriesCsvReference:
         # value, warning and error, -0.0 and 0.0 told apart; half the files
         # have one odd line
         if odd is not None:
-            lines.insert(*odd)
+            at, line = odd
+            lines = lines[:at] + [line] + lines[at:]
         text = newline.join([header] * (header is not None) + lines) + newline
         path = tmp_path_factory.getbasetemp() / "reference.csv"
         path.write_bytes(("\ufeff" * bom + text).encode("utf-8"))
