@@ -4,10 +4,11 @@ Each oracle takes a deliberately different route from the code under test:
 textbook sum formulas for simple regression, explicit normal equations for
 multiple regression (in floats, and solved exactly in integers), exact
 integer moment sums for the descriptives, quadrature of the density for
-distribution tails, and a log-log straight-line fit of exactly generated
-curves for the power law, and the Monte Carlo recovery loop by way of
-whole simulated configs seeded and drawn by numpy's own SeedSequence and
-default_rng, and a ``t,value`` file read one line at a time by ``float()``.
+distribution tails, the logit line's R^2 from 50-digit decimal
+logarithms, a log-log straight-line fit of exactly generated curves for the
+power law, the Monte Carlo recovery loop by way of whole simulated configs
+seeded and drawn by numpy's own SeedSequence and default_rng, and a
+``t,value`` file read one line at a time by ``float()``.
 """
 
 import decimal
@@ -225,6 +226,29 @@ def moments_exact(values) -> dict:
             - Fraction(3 * (n - 1) ** 2, (n - 2) * (n - 3))
         )
     return out
+
+
+def logit_r2_exact(series, k: float) -> float:
+    """R^2 of the least-squares line of log((K - v)/v) on t at K = ``k``.
+
+    The quotients and their logarithms are taken in decimal at 50 digits
+    (``Decimal.ln``), and R^2 = sxy^2 / (sxx syy) from the centred sums of
+    the raw times, unscaled; only the returned R^2 is rounded. A constant
+    logit (syy = 0) has R^2 0, as ``ols_simple`` reports it.
+    """
+    with decimal.localcontext(prec=50):
+        kk = decimal.Decimal(k)
+        ts = [decimal.Decimal(t) for t in series.times.tolist()]
+        ys = [((kk - decimal.Decimal(v)) / decimal.Decimal(v)).ln()
+              for v in series.values.tolist()]
+        t_mean, y_mean = sum(ts) / len(ts), sum(ys) / len(ys)
+        dts = [t - t_mean for t in ts]
+        dys = [y - y_mean for y in ys]
+        syy = sum(d * d for d in dys)
+        if not syy:
+            return 0.0
+        sxy = sum(map(operator.mul, dts, dys))
+        return float(sxy * sxy / (sum(d * d for d in dts) * syy))
 
 
 def logistic_exact(k: float, a: float, b: float, t):

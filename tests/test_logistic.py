@@ -17,7 +17,7 @@ from parasitech import (
 )
 from parasitech.logistic import K_SEARCH_RTOL, _logit_line, k_search_bracket
 import identity
-from oracles import logistic_exact, power_law_loglog_fit
+from oracles import logistic_exact, logit_r2_exact, power_law_loglog_fit
 
 
 def series_from_params(params, t_grid, name="s", role="parasite"):
@@ -179,6 +179,28 @@ class TestKSearch:
                 fit = ols_simple(t, np.log((k - s.values) / s.values))
                 assert r2 == fit.r2
                 assert (intercept, math.ldexp(slope, -e)) == fit.coefficients
+
+    def test_k_maximizes_logit_r2_exact(self):
+        # Each logit y_i carries ~eps (1 + |y_i|) of rounding, and R^2 sees y
+        # only against its spread, so a float R^2 is within e = 8 n eps kappa
+        # of the exact one, kappa = 1 + (1 + max|y|) / sd(y). The search
+        # orders K by float R^2s; one misordered pair costs at most 2e of
+        # exact R^2, whether rounding or the stop left it. The best exact
+        # R^2 is sought at K (1 +- 10**-p), p = 3..12, within the bracket.
+        # Every 12th corpus case (34): one exact R^2 takes ~1.5 ms
+        eps = 2.0**-52
+        for series, k_max_factor in identity.logistic_cases()[::12]:
+            report = fit_logistic(series, k_max_factor)
+            k, v = report.params.k, series.values
+            lo, hi = k_search_bracket(series, k_max_factor)
+            y = np.log((k - v) / v)
+            e = 8 * series.n * eps * (1 + (1 + np.abs(y).max()) / y.std())
+            at_k = logit_r2_exact(series, k)
+            assert abs(report.r2_logit - at_k) <= e
+            near = [min(max(k * (1 + s * 10.0**-p), lo), hi)
+                    for p in range(3, 13) for s in (-1, 1)]
+            best = max(logit_r2_exact(series, g) for g in near)
+            assert best - at_k <= 2 * e
 
     def test_bracket(self):
         s = TechSeries("s", "host", "", [0, 1, 2, 3], [1.0, 2.0, 3.0, 4.0])
