@@ -27,7 +27,7 @@ from .errors import (
 
 # The sum and the dot product along the last axis: of 1-d arrays, and per
 # row of 2-d stacks, kept as (rows, 1) columns. (keepdims=False costs a 1-d
-# call, made ~61 times per fit_logistic, ~0.4 us more than no keyword.)
+# call, made ~41 times per fit_logistic, ~0.4 us more than no keyword.)
 _OPS = np.add.reduce, np.vecdot
 _ROW_OPS = (partial(np.add.reduce, axis=-1, keepdims=True),
             partial(np.vecdot, keepdims=True))

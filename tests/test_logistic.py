@@ -14,6 +14,7 @@ from parasitech import (
     forecast_series,
     logistic_value,
     ols_simple,
+    statkit,
 )
 from parasitech.logistic import K_SEARCH_RTOL, _logit_line, k_search_bracket
 import identity
@@ -201,6 +202,27 @@ class TestKSearch:
                     for p in range(3, 13) for s in (-1, 1)]
             best = max(logit_r2_exact(series, g) for g in near)
             assert best - at_k <= 2 * e
+
+    def test_probe_budget(self, monkeypatch):
+        # the search stops where rounding orders its probes: a median of 41
+        # logit lines per fit on the corpus, against 61 for a search down
+        # to the K_SEARCH_RTOL bracket. Which probe stops a fit depends on
+        # the BLAS kernel, so only the median is pinned
+        probes = 0
+
+        def counted(*args):
+            nonlocal probes
+            probes += 1
+            return line(*args)
+
+        line = statkit._line
+        monkeypatch.setattr(statkit, "_line", counted)
+        per_fit = []
+        for series, k_max_factor in identity.logistic_cases():
+            probes = 0
+            fit_logistic(series, k_max_factor)
+            per_fit.append(probes)
+        assert np.median(per_fit) <= 45
 
     def test_bracket(self):
         s = TechSeries("s", "host", "", [0, 1, 2, 3], [1.0, 2.0, 3.0, 4.0])
