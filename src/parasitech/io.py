@@ -79,7 +79,9 @@ def parse_series_csv(
             f"{path}: not UTF-8 text: byte {err.start} ({err.reason})"
         ) from None
 
-    lines = text.splitlines()
+    # lines end at \n, \r\n or \r only, as editors number them (splitlines
+    # would also break at \x0b, \x0c, \x1c-\x1e, \x85, U+2028 and U+2029)
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     stripped = [raw.strip() for raw in lines]
     index = [i for i, line in enumerate(stripped) if line and line[0] != "#"]
     if not index:
@@ -89,12 +91,13 @@ def parse_series_csv(
         raise SeriesFormatError(
             f"{path}: line {head + 1}: expected header 't,value', got {lines[head]!r}"
         )
-    # numpy's C reader parses the rows (not none: it warns; nor \x1f, which it
-    # takes for a space); float()'s loop reads what it refuses (1_0, Unicode
-    # digits) and raises the fatal errors, at the first bad line
+    # numpy's C reader parses the rows (not none: it warns; nor \x1c-\x1f,
+    # which it takes for spaces and float() refuses); float()'s loop reads
+    # what it refuses (1_0, Unicode digits) and raises the fatal errors, at
+    # the first bad line
     table = np.empty((0, 2))
     with suppress(ValueError):
-        if index and "\x1f" not in text:
+        if index and not any(c in text for c in "\x1c\x1d\x1e\x1f"):
             data = [stripped[i] for i in index]
             table = np.loadtxt(data, delimiter=",", comments=None, ndmin=2)
     if table.shape != (len(index), 2) or not np.isfinite(table).all():

@@ -287,11 +287,12 @@ def parse_series_reference(path, aggregator: str = "mean") -> tuple:
     the same messages."""
     from parasitech import EmptySeriesError, SeriesFormatError
 
+    # read_text's universal newlines end lines at \n, \r\n and \r only
     text = Path(path).read_text(encoding="utf-8-sig")
     warnings = []
     by_t, duplicated = {}, {}
     header_seen = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -95,6 +95,20 @@ class TestParseSeriesCsv:
         assert sf.parsed.n == 2
         assert any("line 4" in w for w in sf.warnings)
 
+    @pytest.mark.parametrize(
+        "char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_lines_are_numbered_as_an_editor_numbers_them(self, tmp_path, char):
+        # str.splitlines also breaks at these characters; a line ends only
+        # at \n, \r\n or \r
+        sf = parse_series_csv(write(tmp_path, f"t,value\n1,2{char}\n2,-1\n3,4\n"))
+        assert sf.warnings == (
+            "line 3: non-positive value -1.0 rejected "
+            "(log scale requires positive values)",
+        )
+        with pytest.raises(SeriesFormatError, match="line 2: expected 2 columns, got 3"):
+            parse_series_csv(write(tmp_path, f"t,value\n1,2{char}3,4\n"))
+
     def test_zero_valid_rows(self, tmp_path):
         with pytest.raises(EmptySeriesError):
             parse_series_csv(write(tmp_path, "t,value\n1920,-2\n"))
@@ -185,6 +199,11 @@ _ODD_LINES = st.one_of(
     st.sampled_from(["1,2,3", "5", ",", "1,2,"]),
 )
 _LINES = _ROWS | _ROWS | st.sampled_from(["", "  ", "\t", "# note", " # 1,2"])
+# characters at which str.splitlines breaks a line and an editor does not
+_BREAKS = st.sampled_from(
+    ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+_ODD_LINES |= st.tuples(_LINES, _BREAKS, _LINES).map("".join)
 
 
 def _parse_outcome(parse, path, aggregator):
@@ -210,9 +229,12 @@ class TestParseSeriesCsvReference:
         bom=st.booleans(),
         aggregator=st.sampled_from(["mean", "median", "max"]),
     )
-    # numpy's reader takes \x1f for a space, and refuses 1_0 and \u0663
+    # numpy's reader takes \x1c-\x1f for spaces, and refuses 1_0 and \u0663;
+    # the line after a \x0c is the one it is on
     @example("t,value", ["1990,2"], (1, "1991\x1f,3"), "\n", False, "mean")
+    @example("t,value", ["1990,2"], (1, "1991,\x1d3"), "\n", False, "mean")
     @example("t,value", ["1990,2"], (0, "1_0,\u0663"), "\n", False, "mean")
+    @example("t,value", ["1990,-1"], (0, "1991,2\x0c"), "\n", False, "mean")
     @settings(max_examples=150, deadline=None)
     def test_equals_the_line_loop(
         self, tmp_path_factory, header, lines, odd, newline, bom, aggregator
