@@ -124,14 +124,6 @@ class TechSeries:
     def log_values(self) -> np.ndarray:
         return np.log(self._values)
 
-    def scaled(self, factor: float) -> "TechSeries":
-        """Return a copy with every value multiplied by ``factor`` (> 0)."""
-        if not (math.isfinite(factor) and factor > 0):
-            raise InvalidInputError("scale factor must be a positive finite real")
-        return TechSeries(
-            self.name, self.role, self.units, self._times, self._values * factor
-        )
-
 
 @dataclass(frozen=True)
 class BTest:

@@ -124,10 +124,10 @@ def _check_integer(value, what: str) -> int:
     return int(value)
 
 
-def _check_seed(value, what: str = "seed") -> int:
+def _check_seed(value) -> int:
     if not (isinstance(value, numbers.Integral) and 0 <= value < 2**64):
         raise InvalidInputError(
-            f"{what} must be an integer in [0, 2**64), got {value!r}"
+            f"seed must be an integer in [0, 2**64), got {value!r}"
         )
     return int(value)
 
@@ -193,7 +193,9 @@ def _seed_sequence(columns, n_words: int) -> np.ndarray:
 
 
 def _derive(master, stream, index) -> np.ndarray:
-    """``derive_seed`` of each row of (master, stream, index), as uint64."""
+    """The sub-seed of each row of (master, stream, index), as uint64: the
+    first word of numpy's seed sequence of the entropy [master, stream,
+    index]."""
     return _seed_sequence((master, stream, index), 1)[0]
 
 
@@ -205,17 +207,6 @@ def _pcg_states(seeds) -> list[tuple[int, int]]:
         inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
         states.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128, inc))
     return states
-
-
-def derive_seed(master: int, stream: int, index: int) -> int:
-    """Deterministic 64-bit sub-seed from (master seed, stream tag, index).
-
-    It is the first uint64 that numpy's seed sequence of the entropy
-    [master, stream, index] generates; each argument must be an integer in
-    [0, 2**64).
-    """
-    names = ("master", "stream", "index")
-    return int(_derive(*map(_check_seed, (master, stream, index), names))[0])
 
 
 def simulate_series(

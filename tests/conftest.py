@@ -13,6 +13,13 @@ def make_series(name, times, values, role="parasite", units=""):
     return TechSeries(name, role, units, times, values)
 
 
+def scaled(series, factor):
+    """``series`` with every value multiplied by ``factor``."""
+    return TechSeries(
+        series.name, series.role, series.units, series.times, series.values * factor
+    )
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)

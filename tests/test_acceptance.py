@@ -28,7 +28,7 @@ from parasitech import (
     zscore,
 )
 from parasitech.cli import run as cli_run
-from conftest import make_series
+from conftest import make_series, scaled
 from oracles import ols_multi_normal_eq, ols_simple_sums, power_law_loglog_fit
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_evolve.json"
@@ -169,7 +169,7 @@ def test_criterion_6_invariance_suite():
         base = fit_evolution(host, parasite)
         for _ in range(100):
             c = float(np.exp(rng.uniform(-4, 4)))
-            scaled_host = fit_evolution(host.scaled(c), parasite)
+            scaled_host = fit_evolution(scaled(host, c), parasite)
             assert abs(scaled_host.b - base.b) < 1e-10
             assert (
                 abs(
@@ -182,7 +182,7 @@ def test_criterion_6_invariance_suite():
                 scaled_host.log_a - (base.log_a - base.b * math.log(c))
             ) < 1e-9
             assert scaled_host.classification.grade == base.classification.grade
-            scaled_parasite = fit_evolution(host, parasite.scaled(c))
+            scaled_parasite = fit_evolution(host, scaled(parasite, c))
             assert abs(scaled_parasite.b - base.b) < 1e-10
             assert abs(
                 scaled_parasite.log_a - (base.log_a + math.log(c))

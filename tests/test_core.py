@@ -13,6 +13,7 @@ from parasitech import (
     classify_point,
     classify_with_test,
 )
+from conftest import scaled
 from oracles import t_two_sided_quad
 
 
@@ -58,8 +59,11 @@ class TestTechSeries:
             s.values[0] = 5.0
 
     def test_scaled(self):
+        # scaling the values by c shifts their logs by log c
         s = TechSeries("x", "host", "", [1, 2], [2.0, 4.0])
-        np.testing.assert_allclose(s.scaled(0.5).values, [1.0, 2.0])
+        np.testing.assert_allclose(
+            scaled(s, 0.5).log_values(), s.log_values() + math.log(0.5)
+        )
 
     @pytest.mark.parametrize(
         "times, values, message",

@@ -19,7 +19,7 @@ from parasitech import (
     logistic_value,
 )
 from parasitech.evolution import _align
-from conftest import make_series
+from conftest import make_series, scaled
 
 
 def power_series(host, a, b, name="p"):
@@ -208,17 +208,17 @@ class TestScaleInvariance:
         base = fit_evolution(host, noisy)
         for _ in range(100):
             c = float(np.exp(rng.uniform(-3, 3)))
-            scaled = fit_evolution(host.scaled(c), noisy)
-            np.testing.assert_allclose(scaled.b, base.b, atol=1e-10)
+            rescaled = fit_evolution(scaled(host, c), noisy)
+            np.testing.assert_allclose(rescaled.b, base.b, atol=1e-10)
             np.testing.assert_allclose(
-                scaled.regression.standard_errors[1],
+                rescaled.regression.standard_errors[1],
                 base.regression.standard_errors[1],
                 atol=1e-10,
             )
             np.testing.assert_allclose(
-                scaled.log_a, base.log_a - base.b * math.log(c), atol=1e-9
+                rescaled.log_a, base.log_a - base.b * math.log(c), atol=1e-9
             )
-            assert scaled.classification.grade == base.classification.grade
+            assert rescaled.classification.grade == base.classification.grade
 
     def test_parasite_rescaling(self, rng, host):
         parasite = power_series(host, 2.0, 0.8, "p")
@@ -229,12 +229,12 @@ class TestScaleInvariance:
         base = fit_evolution(host, noisy)
         for _ in range(100):
             c = float(np.exp(rng.uniform(-3, 3)))
-            scaled = fit_evolution(host, noisy.scaled(c))
-            np.testing.assert_allclose(scaled.b, base.b, atol=1e-10)
+            rescaled = fit_evolution(host, scaled(noisy, c))
+            np.testing.assert_allclose(rescaled.b, base.b, atol=1e-10)
             np.testing.assert_allclose(
-                scaled.log_a, base.log_a + math.log(c), atol=1e-9
+                rescaled.log_a, base.log_a + math.log(c), atol=1e-9
             )
-            assert scaled.classification.grade == base.classification.grade
+            assert rescaled.classification.grade == base.classification.grade
 
     def test_swap_inverts_slope_on_exact_data(self, host):
         parasite = power_series(host, 2.0, 1.6, "p")
@@ -313,8 +313,15 @@ class TestFitEvolutionMulti:
         assert fit.dominant_predictors[0] == "p2"
         for _ in range(20):
             c = float(np.exp(rng.uniform(-2, 2)))
-            rescaled = fit_evolution_multi(target, h.scaled(c), [p2, p3])
+            rescaled = fit_evolution_multi(target, scaled(h, c), [p2, p3])
             assert rescaled.dominant_predictors == fit.dominant_predictors
+            # only the intercept moves, by -b_h log c
+            coefficients = fit.regression.coefficients
+            np.testing.assert_allclose(
+                rescaled.regression.coefficients,
+                [coefficients[0] - coefficients[1] * math.log(c), *coefficients[1:]],
+                atol=1e-9,
+            )
 
     def test_listwise_n_needed(self, rng):
         t = np.arange(2000, 2004)

@@ -21,7 +21,7 @@ from parasitech import (
     simulate_pair,
     simulate_series,
 )
-from parasitech.simulate import _derive, _pcg_states, derive_seed, early_phase_cutoff
+from parasitech.simulate import _derive, _pcg_states, early_phase_cutoff
 from oracles import recovery_reference
 
 
@@ -256,9 +256,11 @@ SEEDS = st.one_of(
 
 class TestSeedDerivation:
     def test_deterministic_and_distinct(self):
-        assert derive_seed(42, 0, 1) == derive_seed(42, 0, 1)
-        seen = {derive_seed(42, s, i) for s in (0, 1) for i in range(50)}
-        assert len(seen) == 100
+        stream = np.repeat(np.array([0, 1], np.uint64), 50)
+        index = np.tile(np.arange(50, dtype=np.uint64), 2)
+        seeds = _derive(42, stream, index)
+        assert seeds.tolist() == _derive(42, stream, index).tolist()
+        assert len(set(seeds.tolist())) == 100
 
     @given(st.lists(st.tuples(SEEDS, st.sampled_from([0, 1]), SEEDS), min_size=1,
                     max_size=40))
@@ -269,7 +271,6 @@ class TestSeedDerivation:
             for row in rows
         ]
         assert _derive(master, stream, index).tolist() == expected
-        assert [derive_seed(*row) for row in rows[:3]] == expected[:3]
 
     @given(st.lists(SEEDS, min_size=1, max_size=40))
     def test_generator_states_are_numpys(self, seeds):
@@ -295,14 +296,13 @@ class TestSeedDerivation:
         # numpy raised a bare ValueError or TypeError, and took 2**64
         with pytest.raises(InvalidInputError, match=r"integer in \[0, 2\*\*64\)"):
             simulate_series(HOST_LAW, np.linspace(0, 40, 20), seed=bad)
-        for args in ((bad, 0, 0), (0, bad, 0), (0, 0, bad)):
-            with pytest.raises(InvalidInputError):
-                derive_seed(*args)
 
     def test_numpy_integer_seeds_are_accepted(self):
-        assert derive_seed(np.uint64(2**64 - 1), np.int8(1), np.int64(7)) == derive_seed(
-            2**64 - 1, 1, 7
-        )
+        grid = np.linspace(0, 40, 20)
+        for seed in (np.uint64(2**64 - 1), np.int8(1), np.int64(7)):
+            assert simulate_series(HOST_LAW, grid, 0.1, 0.2, seed=seed) == (
+                simulate_series(HOST_LAW, grid, 0.1, 0.2, seed=int(seed))
+            )
 
 
 class TestEarlyPhaseCutoff:
