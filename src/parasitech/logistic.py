@@ -166,8 +166,9 @@ def fit_logistic(series: TechSeries, k_max_factor: float = 10.0) -> LogisticFitR
     line_at = _logit_line(series)
 
     # Golden-section maximization of R^2(K); the objective is smooth and
-    # unimodal in practice. Past the 4-ulp stop, ~20 more shrinks would
-    # only follow rounding: it ends a median fit after 41 probes, not 61.
+    # unimodal in practice. Interior R^2s within 4 ulps are ordered by
+    # rounding, not by K, so the search stops there: after a median of 41
+    # probes on the identity corpus.
     a_br, b_br = lo, hi
     c = b_br - _INV_PHI * (b_br - a_br)
     d = a_br + _INV_PHI * (b_br - a_br)

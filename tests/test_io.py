@@ -33,6 +33,12 @@ def write(tmp_path, text, name="series.csv"):
     return path
 
 
+# the characters at which str.splitlines breaks a line and an editor does not
+SPLITLINES_ONLY_BREAKS = [
+    "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"
+]
+
+
 @pytest.fixture
 def report(rng):
     t = np.arange(1950, 1994)
@@ -95,19 +101,17 @@ class TestParseSeriesCsv:
         assert sf.parsed.n == 2
         assert any("line 4" in w for w in sf.warnings)
 
-    @pytest.mark.parametrize(
-        "char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
-    )
+    @pytest.mark.parametrize("char", SPLITLINES_ONLY_BREAKS)
     def test_lines_are_numbered_as_an_editor_numbers_them(self, tmp_path, char):
-        # str.splitlines also breaks at these characters; a line ends only
-        # at \n, \r\n or \r
+        # a line ends only at \n, \r\n or \r
         sf = parse_series_csv(write(tmp_path, f"t,value\n1,2{char}\n2,-1\n3,4\n"))
         assert sf.warnings == (
             "line 3: non-positive value -1.0 rejected "
             "(log scale requires positive values)",
         )
+        path = write(tmp_path, f"t,value\n1,2{char}3,4\n")
         with pytest.raises(SeriesFormatError, match="line 2: expected 2 columns, got 3"):
-            parse_series_csv(write(tmp_path, f"t,value\n1,2{char}3,4\n"))
+            parse_series_csv(path)
 
     def test_zero_valid_rows(self, tmp_path):
         with pytest.raises(EmptySeriesError):
@@ -194,16 +198,12 @@ _LEVELS = st.one_of(
     st.sampled_from(["0", "-0.0", "-2.5", "1.7e308", "1.6e308", " 7.5 "]),
 )
 _ROWS = st.tuples(_YEARS, _LEVELS).map(",".join)
+_LINES = _ROWS | _ROWS | st.sampled_from(["", "  ", "\t", "# note", " # 1,2"])
 _ODD_LINES = st.one_of(
     st.tuples(_YEARS | _ODD_CELLS, _LEVELS | _ODD_CELLS).map(",".join),
     st.sampled_from(["1,2,3", "5", ",", "1,2,"]),
+    st.tuples(_LINES, st.sampled_from(SPLITLINES_ONLY_BREAKS), _LINES).map("".join),
 )
-_LINES = _ROWS | _ROWS | st.sampled_from(["", "  ", "\t", "# note", " # 1,2"])
-# characters at which str.splitlines breaks a line and an editor does not
-_BREAKS = st.sampled_from(
-    ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
-)
-_ODD_LINES |= st.tuples(_LINES, _BREAKS, _LINES).map("".join)
 
 
 def _parse_outcome(parse, path, aggregator):
